@@ -7,6 +7,7 @@ import numpy as np
 
 from chaosmark import (
     SpaceConfig,
+    continuity_probe,
     continuity_report,
     expansivity_counterexample,
     random_phase_point,
@@ -33,7 +34,7 @@ def main() -> None:
         witness_strong_transitivity(x, 0.1, y, space),
         witness_regularity(x, 1e-3, space),
         expansivity_counterexample(0.5, 100, space),
-        continuity_report(x, [1e-1, 1e-2, 1e-3, 1e-4], space),
+        continuity_report(x, continuity_probe(x, [1e-1, 1e-2, 1e-3, 1e-4], space)),
     ]
     for report in reports:
         measured = ", ".join(f"{k}={v:.6g}" for k, v in report.measured.items())

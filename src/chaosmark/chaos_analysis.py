@@ -165,6 +165,19 @@ def _require_tolerance(tolerance: float) -> float:
     return tolerance
 
 
+def _orbit_pair(x: PhasePoint, y: PhasePoint, n_max: int):
+    """Yield (step, g^step(x), g^step(y)) for steps 0..n_max."""
+    if not isinstance(n_max, int) or n_max < 0:
+        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
+    if x.dim != y.dim:
+        raise DimensionMismatch(f"point dimensions differ: {x.dim} vs {y.dim}")
+    a, b = x, y
+    for step in range(n_max + 1):
+        if step:
+            a, b = apply_g(a), apply_g(b)
+        yield step, a, b
+
+
 # ---------- sensitivity ----------
 
 def witness_sensitivity(x: PhasePoint, r: float, space: SpaceConfig,
@@ -346,6 +359,28 @@ def witness_regularity(x: PhasePoint, eps: float, space: SpaceConfig,
 
 # ---------- non-expansivity ----------
 
+def expansivity_pair(eps: float, space: SpaceConfig,
+                     ) -> tuple[PhasePoint, PhasePoint]:
+    """The rest point X and the flipper Y of the non-expansivity pair.
+
+    Y's strategy alternates +eps/2 and -eps/2 in component 0 forever;
+    both points start from zero media.
+    """
+    eps = float(eps)
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    n = float(space.bound_n)
+    nv = space.nv
+    if eps / 2.0 > n:
+        raise BoundViolation(
+            f"eps/2 = {eps / 2.0} exceeds the strategy bound {n}")
+    rest = PhasePoint(Strategy.zero(nv), zeros_vector(nv))
+    up = basis_vector(nv, 0, eps / 2.0)
+    down = basis_vector(nv, 0, -eps / 2.0)
+    flipper = PhasePoint(Strategy(nv, (), (up, down)), zeros_vector(nv))
+    return rest, flipper
+
+
 def expansivity_counterexample(eps: float, n_max: int, space: SpaceConfig,
                                tolerance: float = DEFAULT_TOLERANCE,
                                ) -> WitnessReport:
@@ -361,27 +396,11 @@ def expansivity_counterexample(eps: float, n_max: int, space: SpaceConfig,
     """
     tolerance = _require_tolerance(tolerance)
     eps = float(eps)
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
     n = float(space.bound_n)
     nv = space.nv
-    if eps / 2.0 > n:
-        raise BoundViolation(
-            f"eps/2 = {eps / 2.0} exceeds the strategy bound {n}")
-
-    rest = PhasePoint(Strategy.zero(nv), zeros_vector(nv))
-    up = basis_vector(nv, 0, eps / 2.0)
-    down = basis_vector(nv, 0, -eps / 2.0)
-    flipper = PhasePoint(Strategy(nv, (), (up, down)), zeros_vector(nv))
-
-    sup_distance = 0.0
-    a, b = rest, flipper
-    for step in range(n_max + 1):
-        if step:
-            a, b = apply_g(a), apply_g(b)
-        sup_distance = max(sup_distance, d_phase(a, b, space))
+    rest, flipper = expansivity_pair(eps, space)
+    sup_distance = max(d_phase(a, b, space)
+                       for _, a, b in _orbit_pair(rest, flipper, n_max))
 
     derived_bound = eps / 2.0 + 5.0 * eps / n
     eps_bound_holds = sup_distance <= eps + tolerance
@@ -404,6 +423,15 @@ def expansivity_counterexample(eps: float, n_max: int, space: SpaceConfig,
 
 # ---------- continuity ----------
 
+def _perturbed(x: PhasePoint, s: float) -> PhasePoint:
+    """x with media component 0 and strategy term 0 component 0 bumped by s."""
+    term = np.array(x.strategy.term(0), dtype=np.float64)
+    term[0] += s
+    media = np.array(x.media, dtype=np.float64)
+    media[0] += s
+    return PhasePoint(x.strategy.with_term(0, term), media)
+
+
 def continuity_probe(x: PhasePoint, scales, space: SpaceConfig) -> OrbitTrace:
     """Push shrinking perturbations of x through one map application.
 
@@ -419,20 +447,16 @@ def continuity_probe(x: PhasePoint, scales, space: SpaceConfig) -> OrbitTrace:
         raise ValueError("scales must be strictly decreasing")
 
     image = apply_g(x)
-    base_term = x.strategy.term(0)
+    head = float(x.strategy.term(0)[0])
     rows = []
     input_d = []
     used = []
     skipped = []
     for s in scales:
-        if abs(float(base_term[0]) + s) > space.bound_n:
+        if abs(head + s) > space.bound_n:
             skipped.append(s)
             continue
-        term = np.array(base_term, dtype=np.float64)
-        term[0] += s
-        media = np.array(x.media, dtype=np.float64)
-        media[0] += s
-        perturbed = PhasePoint(x.strategy.with_term(0, term), media)
+        perturbed = _perturbed(x, s)
         input_d.append(d_phase(perturbed, x, space))
         perturbed_image = apply_g(perturbed)
         rows.append((len(rows),
@@ -452,16 +476,15 @@ def continuity_probe(x: PhasePoint, scales, space: SpaceConfig) -> OrbitTrace:
     )
 
 
-def continuity_report(x: PhasePoint, scales, space: SpaceConfig,
+def continuity_report(x: PhasePoint, trace: OrbitTrace,
                       tolerance: float = DEFAULT_TOLERANCE) -> WitnessReport:
-    """Wrap a continuity probe as a witness.
+    """Wrap the continuity probe trace of x as a witness.
 
     Verdict: every image distance is at most twice its input distance
     (plus tolerance) and the image distances do not increase as the
     scales shrink.
     """
     tolerance = _require_tolerance(tolerance)
-    trace = continuity_probe(x, scales, space)
     image_d = [row[1] for row in trace.points]
     input_d = trace.meta["input_d_phase"]
     if not image_d:
@@ -473,22 +496,15 @@ def continuity_report(x: PhasePoint, scales, space: SpaceConfig,
     max_ratio = max((img / inp if inp else 0.0)
                     for img, inp in zip(image_d, input_d))
 
-    smallest = trace.meta["scales"][-1]
-    term = np.array(x.strategy.term(0), dtype=np.float64)
-    term[0] += smallest
-    media = np.array(x.media, dtype=np.float64)
-    media[0] += smallest
-    last_point = PhasePoint(x.strategy.with_term(0, term), media)
-
     return WitnessReport(
         property=WitnessProperty.CONTINUITY,
         inputs={
             "scales": list(trace.meta["scales"]),
             "skipped_scales": list(trace.meta["skipped_scales"]),
             "nv": x.dim,
-            "bound_n": float(space.bound_n),
+            "bound_n": trace.meta["bound_n"],
         },
-        constructed_point=last_point,
+        constructed_point=_perturbed(x, trace.meta["scales"][-1]),
         iterations_used=1,
         measured={
             "max_image_to_input_ratio": max_ratio,
@@ -505,18 +521,10 @@ def continuity_report(x: PhasePoint, scales, space: SpaceConfig,
 def divergence_trace(x: PhasePoint, y: PhasePoint, n_max: int,
                      space: SpaceConfig) -> OrbitTrace:
     """Distances between the orbits of x and y at steps 0..n_max."""
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
-    if x.dim != y.dim:
-        raise DimensionMismatch(f"point dimensions differ: {x.dim} vs {y.dim}")
-    rows = []
-    a, b = x, y
-    for step in range(n_max + 1):
-        if step:
-            a, b = apply_g(a), apply_g(b)
-        rows.append((step, d_phase(a, b, space), d_inf(a.media, b.media)))
+    rows = tuple((step, d_phase(a, b, space), d_inf(a.media, b.media))
+                 for step, a, b in _orbit_pair(x, y, n_max))
     return OrbitTrace(
-        points=tuple(rows),
+        points=rows,
         meta={"kind": "divergence", "n_max": n_max, "nv": x.dim,
               "bound_n": float(space.bound_n)},
     )
@@ -554,8 +562,6 @@ def empirical_sensitivity_scan(x: PhasePoint, r: float, trials: int,
     """
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
     r = float(r)
     k0 = ball_index(r)
     best = 0.0
@@ -566,10 +572,7 @@ def empirical_sensitivity_scan(x: PhasePoint, r: float, trials: int,
             perturbed = witness_sensitivity(x, r, space).constructed_point
         else:
             perturbed = _random_ball_perturbation(x, r, k0, space, seed, trial)
-        a, b = x, perturbed
-        for step in range(n_max + 1):
-            if step:
-                a, b = apply_g(a), apply_g(b)
+        for _, a, b in _orbit_pair(x, perturbed, n_max):
             best = max(best, d_phase(a, b, space))
     return best
 

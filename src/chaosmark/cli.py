@@ -34,6 +34,7 @@ from .chaos_analysis import (
     divergence_trace,
     empirical_sensitivity_scan,
     expansivity_counterexample,
+    expansivity_pair,
     phase_point_to_dict,
     random_phase_point,
     witness_regularity,
@@ -191,15 +192,13 @@ def _cmd_decode(args) -> int:
 # ---------- analyze ----------
 
 def _space_of(args) -> SpaceConfig:
-    return SpaceConfig(nv=args.nv, bound_n=args.bound_n,
-                       series_truncation=args.series_truncation)
+    return SpaceConfig(nv=args.nv, bound_n=args.bound_n)
 
 
 def _analyze_config(args, space: SpaceConfig, seed: int, **extra) -> dict:
     cfg = {
         "nv": space.nv,
         "bound_n": space.bound_n,
-        "series_truncation": space.series_truncation,
         "seed": seed,
         "tolerance": args.tolerance,
     }
@@ -273,8 +272,8 @@ def _cmd_continuity(args) -> int:
     seed = _seed_of(args)
     scales = [float(s) for s in args.scales.split(",") if s.strip()]
     x = random_phase_point(seed, space)
-    report = continuity_report(x, scales, space, args.tolerance)
     trace = continuity_probe(x, scales, space)
+    report = continuity_report(x, trace, args.tolerance)
     config = _analyze_config(args, space, seed, scales=scales)
     return _emit_witness(args, "analyze continuity", config, report, trace)
 
@@ -308,8 +307,7 @@ def _cmd_trace(args) -> int:
     if args.pair == "sensitivity":
         y = witness_sensitivity(x, args.r, space).constructed_point
     elif args.pair == "expansivity":
-        x, y = expansivity_counterexample(args.eps, args.n_max,
-                                          space).constructed_point
+        x, y = expansivity_pair(args.eps, space)
     else:
         y = random_phase_point(rng, space)
     trace = divergence_trace(x, y, args.n_max, space)
@@ -383,7 +381,6 @@ def _add_scheme_options(p: argparse.ArgumentParser) -> None:
 def _add_analyze_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nv", type=int, default=8)
     p.add_argument("--bound-n", type=float, default=10.0)
-    p.add_argument("--series-truncation", type=int, default=64)
     p.add_argument("--seed", type=int, default=None,
                    help="randomization seed (default: $CHAOSMARK_SEED or 0)")
     p.add_argument("--tolerance", type=float, default=1e-9)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .phase_space import as_vector
 
-SCHEMA = "chaosmark/1"
+SCHEMA = "chaosmark/2"
 
 
 class FormatError(ValueError):
@@ -91,7 +91,10 @@ def _read_vector_csv(path: Path) -> np.ndarray:
             raise FormatError(f"{path}:{lineno}: not a number: {line!r}") from exc
     if not values:
         raise FormatError(f"{path}: no values found")
-    return as_vector(values)
+    try:
+        return as_vector(values)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def _read_vector_pgm(path: Path) -> np.ndarray:
@@ -177,14 +180,6 @@ def parse_message_text(text: str, nc: int) -> np.ndarray:
     if len(text) != nc:
         raise FormatError(f"message has {len(text)} bits, expected {nc}")
     return np.array([int(ch) for ch in text], dtype=np.uint8)
-
-
-def read_message_file(path, nc: int) -> np.ndarray:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FormatError(f"cannot read message file {path}: {exc}") from exc
-    return parse_message_text(text, nc)
 
 
 def bits_to_string(bits) -> str:

@@ -23,7 +23,6 @@ import numpy as np
 from .phase_space import (
     DimensionMismatch,
     PhasePoint,
-    SpaceConfig,
     Strategy,
     as_vector,
     check_strategy_bounds,
@@ -88,10 +87,6 @@ class SchemeConfig:
             raise ValueError("key must be an unsigned 64-bit integer")
         if not (math.isfinite(self.bound_n) and self.bound_n > 0):
             raise ValueError(f"bound_n must be positive, got {self.bound_n!r}")
-
-    def space(self) -> SpaceConfig:
-        """Phase-space configuration this scheme embeds into."""
-        return SpaceConfig(nv=self.nv, bound_n=self.bound_n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -74,23 +74,20 @@ def basis_vector(dim: int, index: int, value: float = 1.0) -> np.ndarray:
 class SpaceConfig:
     """Phase-space parameters.
 
-    nv                media dimension (and strategy term dimension)
-    bound_n           component bound N: strategy terms live in [-N, N]
-    series_truncation terms kept by the truncated strategy-distance
-                      evaluator (the exact evaluator ignores it)
+    nv       media dimension (and strategy term dimension)
+    bound_n  component bound N: strategy terms live in [-N, N], so
+             termwise distances reach 2N, which must be finite
     """
 
     nv: int
     bound_n: float = 10.0
-    series_truncation: int = 64
 
     def __post_init__(self) -> None:
         if not isinstance(self.nv, int) or self.nv < 1:
             raise ValueError(f"nv must be a positive integer, got {self.nv!r}")
-        if not (math.isfinite(self.bound_n) and self.bound_n > 0):
-            raise ValueError(f"bound_n must be finite and positive, got {self.bound_n!r}")
-        if not isinstance(self.series_truncation, int) or self.series_truncation < 1:
-            raise ValueError("series_truncation must be a positive integer")
+        if not (math.isfinite(2.0 * self.bound_n) and self.bound_n > 0):
+            raise ValueError("bound_n must be positive with 2 * bound_n "
+                             f"finite, got {self.bound_n!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,10 +151,6 @@ class Strategy:
         if self.tail:
             return self.tail[(k - len(self.prefix)) % len(self.tail)]
         return self._zero
-
-    def terms(self, count: int) -> list[np.ndarray]:
-        """The first ``count`` sequence elements."""
-        return [self.term(k) for k in range(count)]
 
     def is_zero_tail(self) -> bool:
         return not self.tail
@@ -318,25 +311,6 @@ def d_strategy(s: Strategy, t: Strategy, space: SpaceConfig) -> float:
             f"strategy dimensions differ: {s.dim} vs {t.dim}")
     scale = Fraction(9) / Fraction(float(space.bound_n))
     return float(scale * _series_exact(s, t))
-
-
-def d_strategy_truncated(s: Strategy, t: Strategy,
-                         space: SpaceConfig) -> tuple[float, float]:
-    """Strategy distance summed term by term up to K = series_truncation.
-
-    Returns (value, tail_bound).  Termwise distances never exceed 2N,
-    so the discarded tail is at most (9/N) * 2N * 10^(1-K) / 9, i.e.
-    2 * 10^(1-K).
-    """
-    if s.dim != t.dim:
-        raise DimensionMismatch(
-            f"strategy dimensions differ: {s.dim} vs {t.dim}")
-    k_max = space.series_truncation
-    acc = 0.0
-    for k in range(k_max):
-        acc += d_inf(s.term(k), t.term(k)) * 10.0 ** (-k)
-    tail_bound = 2.0 * 10.0 ** (-(k_max - 1))
-    return (9.0 / space.bound_n) * acc, tail_bound
 
 
 def d_phase(x: PhasePoint, y: PhasePoint, space: SpaceConfig) -> float:

@@ -17,7 +17,6 @@ from chaosmark import (
     Strategy,
     d_phase,
     d_strategy,
-    d_strategy_truncated,
     embed,
     decode,
     empirical_sensitivity_scan,
@@ -31,6 +30,7 @@ from chaosmark import (
     witness_sensitivity,
     witness_strong_transitivity,
 )
+from series_oracle import d_strategy_truncated
 
 BOUND = 10.0
 

@@ -270,7 +270,8 @@ class TestContinuity:
         assert trace.meta["skipped_scales"] == []
 
     def test_report_ratio_stays_under_two(self):
-        report = continuity_report(rest(2), [1e-1, 1e-2, 1e-3], SPACE2)
+        trace = continuity_probe(rest(2), [1e-1, 1e-2, 1e-3], SPACE2)
+        report = continuity_report(rest(2), trace)
         assert report.measured["max_image_to_input_ratio"] < 1.06
         assert report.measured["image_distances_nonincreasing"] == 1.0
         assert report.verdict
@@ -286,7 +287,7 @@ class TestContinuity:
         term = np.array([10.0, 0.0])
         x = PhasePoint(Strategy(2, (term,), ()), [0.0, 0.0])
         with pytest.raises(ValueError):
-            continuity_report(x, [1e-1, 1e-2], SPACE2)
+            continuity_report(x, continuity_probe(x, [1e-1, 1e-2], SPACE2))
 
     def test_rejects_bad_scales(self):
         with pytest.raises(ValueError):
@@ -356,7 +357,8 @@ class TestSerialization:
             witness_strong_transitivity(rest(2), 0.1, rest(2), SPACE2),
             witness_regularity(rest(2), 1e-2, SPACE2),
             expansivity_counterexample(0.5, 5, SPACE2),
-            continuity_report(rest(2), [1e-1, 1e-2], SPACE2),
+            continuity_report(rest(2),
+                              continuity_probe(rest(2), [1e-1, 1e-2], SPACE2)),
         ]
         for report in reports:
             payload = json.loads(json.dumps(report.to_dict()))

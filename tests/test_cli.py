@@ -49,7 +49,7 @@ class TestEmbedDecode:
               "--message", "1011", "--gamma", "6.0", "--key", "9",
               "--out", str(stego)])
         meta = json.loads((tmp_path / "stego.json.meta.json").read_text())
-        assert meta["schema"] == "chaosmark/1"
+        assert meta["schema"] == "chaosmark/2"
         assert meta["config"]["key_fingerprint"] == fileio.key_fingerprint(9)
         assert "key" not in meta["config"]
         assert meta["distortion_inf"] > 0.0
@@ -157,6 +157,35 @@ class TestExitCodes:
         monkeypatch.setenv("CHAOSMARK_SEED", "not-a-number")
         assert main(["analyze", "sensitivity", "--r", "0.1"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["sensitivity", "--r", "0.1"],
+        ["regularity", "--eps", "0.01"],
+        ["scan", "--r", "0.1", "--trials", "2"],
+        ["trace"],
+    ])
+    def test_bound_with_infinite_double_is_usage_error(self, argv, capsys):
+        assert main(["analyze", *argv, "--bound-n", "1e308"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: bound_n")
+        assert "Traceback" not in err
+
+    def test_removed_series_truncation_flag_is_unknown(self, capsys):
+        assert main(["analyze", "sensitivity", "--r", "0.1",
+                     "--series-truncation", "64"]) == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suffix,text", [
+        (".csv", "1.0\nnan\n"),
+        (".csv", "inf\n"),
+        (".json", '{"nv": 2, "data": [1.0, NaN]}'),
+    ])
+    def test_non_finite_host_is_io_error(self, tmp_path, capsys, suffix, text):
+        host = tmp_path / f"host{suffix}"
+        host.write_text(text)
+        assert main(["embed", "--scheme", "ss", "--host", str(host),
+                     "--message", "1", "--out", str(tmp_path / "s.json")]) == EXIT_IO
+        assert str(host) in capsys.readouterr().err
+
     def test_false_verdict_maps_to_one(self):
         from chaosmark.cli import _witness_exit
 
@@ -233,7 +262,7 @@ class TestAnalyze:
                      "--format", "csv"])
         assert code == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "# chaosmark/1"
+        assert lines[0] == "# chaosmark/2"
         assert "step,d_phase,d_inf_media" in lines
         assert len([ln for ln in lines if not ln.startswith("#")]) == 6
 

@@ -92,7 +92,7 @@ class TestSpreadSpectrum:
         assert s.term(0).tolist() == [2.0, 0.0]
         assert s.term(1).tolist() == [0.0, -2.0]
         assert s.term(2).tolist() == [0.0, 0.0]
-        assert s.is_zero_tail
+        assert s.is_zero_tail()
 
     def test_embed_adds_watermark_to_host(self):
         host = np.array([0.25, -1.5])
@@ -244,8 +244,3 @@ class TestConfigValidation:
         c = generate_carriers(cfg(nv=4, nc=2))
         with pytest.raises(DimensionMismatch):
             embed([0.0] * 2, [0, 1], c, cfg(nv=2, nc=2), "ss")
-
-    def test_space_inherits_bound(self):
-        sp = cfg(bound_n=3.5).space()
-        assert sp.nv == 2
-        assert sp.bound_n == 3.5

@@ -17,11 +17,11 @@ from chaosmark import (
     d_inf,
     d_phase,
     d_strategy,
-    d_strategy_truncated,
     initial,
     iterate_g,
     shift,
 )
+from series_oracle import d_strategy_truncated
 
 BOUND = 10.0
 SPACE2 = SpaceConfig(nv=2, bound_n=BOUND)
@@ -267,4 +267,4 @@ class TestSpaceConfig:
         with pytest.raises(ValueError):
             SpaceConfig(nv=4, bound_n=0.0)
         with pytest.raises(ValueError):
-            SpaceConfig(nv=4, series_truncation=0)
+            SpaceConfig(nv=4, bound_n=1e308)
