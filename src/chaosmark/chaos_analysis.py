@@ -577,21 +577,20 @@ def empirical_sensitivity_scan(x: PhasePoint, r: float, trials: int,
     return best
 
 
-def random_phase_point(seed, space: SpaceConfig, prefix_max: int = 3,
-                       media_scale: float | None = None) -> PhasePoint:
+def random_phase_point(seed, space: SpaceConfig) -> PhasePoint:
     """Reproducible random phase point (for scans, demos, and the CLI).
 
     Accepts either an integer seed or an existing numpy Generator.
-    Strategy terms are uniform over [-N, N]; the tail is zero or a
-    short periodic block with equal probability.
+    Media components are uniform over [-N/2, N/2].  The prefix holds 0
+    to 3 terms uniform over [-N, N]; the tail is zero or a periodic
+    block of 1 or 2 such terms, with equal probability.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n = float(space.bound_n)
     nv = space.nv
-    scale = media_scale if media_scale is not None else n / 2.0
-    media = rng.uniform(-scale, scale, nv)
+    media = rng.uniform(-n / 2.0, n / 2.0, nv)
     prefix = tuple(rng.uniform(-n, n, nv)
-                   for _ in range(int(rng.integers(0, prefix_max + 1))))
+                   for _ in range(int(rng.integers(0, 4))))
     if rng.random() < 0.5:
         tail = ()
     else:

@@ -123,7 +123,7 @@ def _resolve_message(args) -> tuple[str, int | None]:
     if args.message is not None:
         text = args.message
     elif args.message_file is not None:
-        text = Path(args.message_file).read_text(encoding="utf-8")
+        text = fileio.read_text(args.message_file)
     else:
         raise ValueError("a message is required: --message or --message-file")
     text = text.strip()
@@ -330,7 +330,7 @@ def _cmd_tm(args) -> int:
     if args.tape is not None and args.tape_file is not None:
         raise ValueError("give either --tape or --tape-file, not both")
     if args.tape_file is not None:
-        tape = Path(args.tape_file).read_text(encoding="utf-8").strip()
+        tape = fileio.read_text(args.tape_file).strip()
     else:
         tape = args.tape or ""
     config = initial_configuration(machine, tape, args.head)
@@ -483,7 +483,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (FormatError, MachineParseError, OSError) as exc:
+    except (FormatError, MachineParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

@@ -59,29 +59,39 @@ def write_vector(path, vec) -> None:
             f"unsupported vector output format {suffix!r}; use .json or .csv")
 
 
+def read_text(path) -> str:
+    """Read a UTF-8 text file; undecodable bytes raise FormatError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def _read_vector_json(path: Path) -> np.ndarray:
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        payload = json.loads(read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "nv" not in payload or "data" not in payload:
         raise FormatError(f'{path}: expected an object with "nv" and "data"')
     data = payload["data"]
-    if not isinstance(data, list) or not isinstance(payload["nv"], int):
+    # type(), not isinstance(): JSON true/false decode to bool, an int subclass
+    if not isinstance(data, list) or type(payload["nv"]) is not int:
         raise FormatError(f'{path}: "nv" must be an integer and "data" a list')
     if payload["nv"] != len(data):
         raise FormatError(
             f'{path}: "nv" is {payload["nv"]} but "data" has {len(data)} entries')
+    if not all(type(v) in (int, float) for v in data):
+        raise FormatError(f'{path}: "data" entries must be JSON numbers')
     try:
         return as_vector(data)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
 def _read_vector_csv(path: Path) -> np.ndarray:
     values = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(),
-                                 start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue

@@ -1,12 +1,13 @@
 """Spread-spectrum message modulation over a carrier family.
 
-Three classical schemes are expressed as strategy builders for the
-phase-space map: plain additive spread spectrum (ss), improved spread
-spectrum with host-projection rejection (iss), and the normalized
-host-rejecting variant (nw).  Each scheme turns (host, message,
-carriers) into a finite strategy whose terms the embedding map adds to
-the host one iteration at a time; the stego vector is the media
-component after nc iterations.
+Three classical schemes share one strategy builder: plain additive
+spread spectrum (ss), improved spread spectrum with host-projection
+rejection (iss), and the normalized host-rejecting variant (nw).  Each
+turns (host, message, carriers) into the finite strategy whose term i
+is coef_i * u_i; only the coefficient coef_i differs between schemes.
+The embedding map adds one term to the host per iteration, so the
+stego vector y = x + sum_i coef_i * u_i is the media component after
+nc iterations.
 
 Decoding is correlation against the same key-derived carriers: the
 sign of the projection of the received vector onto carrier i yields
@@ -45,6 +46,9 @@ class ZeroProjectionError(ValueError):
 @dataclass(frozen=True)
 class SchemeConfig:
     """Embedding parameters shared by all schemes.
+
+    Each scheme reads only its own coefficient parameters (ss: gamma,
+    iss: alpha and lam, nw: eta); see watermark_strategy.
 
     nv             host/carrier dimension
     nc             number of carriers = message length in bits
@@ -133,11 +137,6 @@ def as_message(bits, nc: int | None = None) -> np.ndarray:
     return out
 
 
-def _signs(m: np.ndarray) -> np.ndarray:
-    # bit 0 -> +1, bit 1 -> -1
-    return 1.0 - 2.0 * np.asarray(m, dtype=np.float64)
-
-
 def generate_carriers(cfg: SchemeConfig) -> CarrierSet:
     """Draw the carrier family deterministically from cfg.key.
 
@@ -146,9 +145,6 @@ def generate_carriers(cfg: SchemeConfig) -> CarrierSet:
     With orthonormalize set the rows are Gram-Schmidt orthonormalized
     (two passes, for numerical orthogonality well under 1e-9).
     """
-    if cfg.orthonormalize and cfg.nc > cfg.nv:
-        raise CarrierError(
-            f"cannot orthonormalize {cfg.nc} carriers in dimension {cfg.nv}")
     rng = np.random.Generator(np.random.Philox(key=cfg.key))
     mat = rng.standard_normal((cfg.nc, cfg.nv))
     if cfg.orthonormalize:
@@ -164,86 +160,54 @@ def generate_carriers(cfg: SchemeConfig) -> CarrierSet:
     return CarrierSet(mat)
 
 
-# ---------- strategy builders ----------
+# ---------- strategy builder ----------
 
-def ss_watermark(m, c: CarrierSet, cfg: SchemeConfig) -> np.ndarray:
-    """Additive spread-spectrum mark: sum_i gamma * (-1)^{m_i} * u_i."""
-    bits = as_message(m, c.nc)
-    w = (cfg.gamma * _signs(bits)) @ c.matrix
-    w.setflags(write=False)
-    return w
-
-
-def ss_strategy(m, c: CarrierSet, cfg: SchemeConfig) -> Strategy:
-    """Plain spread spectrum: term i is gamma * (-1)^{m_i} * u_i, then zeros."""
-    bits = as_message(m, c.nc)
-    terms = [s * cfg.gamma * u for s, u in zip(_signs(bits), c.matrix)]
-    out = Strategy.from_terms(terms, dim=c.nv)
-    check_strategy_bounds(out, cfg.bound_n,
-                          context="ss term (gamma inconsistent with bound_n)")
-    return out
-
-
-def _squared_norms(c: CarrierSet) -> np.ndarray:
-    norms2 = np.einsum("ij,ij->i", c.matrix, c.matrix)
-    if np.any(norms2 == 0.0):
-        raise CarrierError("zero-norm carrier")
-    return norms2
-
-
-def iss_strategy(x, m, c: CarrierSet, cfg: SchemeConfig) -> Strategy:
-    """Improved spread spectrum.
-
-    Term i is c_i * u_i with
-        c_i = (-1)^{m_i} * alpha - lam * <x, u_i> / ||u_i||^2
-    so at lam = 1 (orthonormal carriers) the host component along each
-    carrier is fully replaced by the message amplitude.
-    """
-    host = as_vector(x, c.nv)
-    bits = as_message(m, c.nc)
-    norms2 = _squared_norms(c)
-    proj = c.matrix @ host
-    coef = _signs(bits) * cfg.alpha - cfg.lam * proj / norms2
-    out = Strategy.from_terms([ci * u for ci, u in zip(coef, c.matrix)], dim=c.nv)
-    check_strategy_bounds(out, cfg.bound_n,
-                          context="iss term (alpha/lam inconsistent with bound_n)")
-    return out
-
-
-def nw_strategy(x, m, c: CarrierSet, cfg: SchemeConfig) -> Strategy:
-    """Normalized host-rejecting scheme.
-
-    Term i is c_i * u_i with
-        c_i = -(1 + eta * (-1)^{m_i} * sign(<x, u_i>)) * <x, u_i> / ||u_i||^2
-    which flips the host projection onto carrier i to the side selected
-    by bit i, with magnitude eta * |<x, u_i>|.  Hosts orthogonal to any
-    carrier are rejected (the coefficient sign would be undefined).
-    """
-    host = as_vector(x, c.nv)
-    bits = as_message(m, c.nc)
-    norms2 = _squared_norms(c)
-    proj = c.matrix @ host
-    if np.any(proj == 0.0):
-        bad = int(np.nonzero(proj == 0.0)[0][0])
-        raise ZeroProjectionError(
-            f"host is orthogonal to carrier {bad}; nw cannot encode against it")
-    coef = -(1.0 + cfg.eta * _signs(bits) * np.sign(proj)) * proj / norms2
-    out = Strategy.from_terms([ci * u for ci, u in zip(coef, c.matrix)], dim=c.nv)
-    check_strategy_bounds(out, cfg.bound_n,
-                          context="nw term (eta/host inconsistent with bound_n)")
-    return out
+# BoundViolation context per scheme, naming the parameters to revisit.
+_BOUND_CONTEXT = {
+    "ss": "ss term (gamma inconsistent with bound_n)",
+    "iss": "iss term (alpha/lam inconsistent with bound_n)",
+    "nw": "nw term (eta/host inconsistent with bound_n)",
+}
 
 
 def watermark_strategy(scheme: str, x, m, c: CarrierSet,
                        cfg: SchemeConfig) -> Strategy:
-    """Dispatch to the scheme's strategy builder (ss ignores the host)."""
+    """The scheme's strategy: term i is coef_i * u_i, then zeros.
+
+    With s_i = (-1)^{m_i} and p_i = <x, u_i> / ||u_i||^2:
+
+        ss   coef_i = s_i * gamma                  (ignores the host)
+        iss  coef_i = s_i * alpha - lam * p_i
+        nw   coef_i = -(1 + eta * s_i * sign(p_i)) * p_i
+
+    At lam = 1 (orthonormal carriers) iss replaces the host component
+    along each carrier by the message amplitude.  nw flips the host
+    projection onto carrier i to the side selected by bit i, with
+    magnitude eta * |<x, u_i>|; hosts orthogonal to any carrier are
+    rejected (the coefficient sign would be undefined).
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    host = None if scheme == "ss" else as_vector(x, c.nv)
+    signs = 1.0 - 2.0 * as_message(m, c.nc)  # bit 0 -> +1, bit 1 -> -1
     if scheme == "ss":
-        return ss_strategy(m, c, cfg)
-    if scheme == "iss":
-        return iss_strategy(x, m, c, cfg)
-    if scheme == "nw":
-        return nw_strategy(x, m, c, cfg)
-    raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+        coef = signs * cfg.gamma
+    else:
+        norms2 = np.einsum("ij,ij->i", c.matrix, c.matrix)
+        if np.any(norms2 == 0.0):
+            raise CarrierError("zero-norm carrier")
+        proj = c.matrix @ host
+        if scheme == "iss":
+            coef = signs * cfg.alpha - cfg.lam * proj / norms2
+        else:
+            if np.any(proj == 0.0):
+                bad = int(np.nonzero(proj == 0.0)[0][0])
+                raise ZeroProjectionError(
+                    f"host is orthogonal to carrier {bad}; nw cannot encode against it")
+            coef = -(1.0 + cfg.eta * signs * np.sign(proj)) * proj / norms2
+    out = Strategy(c.nv, tuple(coef[:, None] * c.matrix))
+    check_strategy_bounds(out, cfg.bound_n, context=_BOUND_CONTEXT[scheme])
+    return out
 
 
 # ---------- embed / decode ----------
@@ -292,9 +256,6 @@ def decode(y, c: CarrierSet, cfg: SchemeConfig, scheme: str) -> DecodeResult:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     received = as_vector(y, c.nv)
     proj = c.matrix @ received
-    if scheme == "nw":
-        bits = np.where(proj < 0.0, 0, np.where(proj > 0.0, 1, 0))
-    else:
-        bits = np.where(proj > 0.0, 0, np.where(proj < 0.0, 1, 0))
+    bits = proj > 0.0 if scheme == "nw" else proj < 0.0
     ties = tuple(int(i) for i in np.nonzero(proj == 0.0)[0])
     return DecodeResult(bits=bits.astype(np.uint8), ties=ties)

@@ -120,21 +120,6 @@ class Strategy:
         """The all-zero sequence."""
         return cls(dim=dim)
 
-    @classmethod
-    def from_terms(cls, terms, dim: int | None = None,
-                   tail=()) -> Strategy:
-        """Strategy with the given leading terms and optional repeating tail."""
-        terms = [np.asarray(t, dtype=np.float64) for t in terms]
-        tail = [np.asarray(t, dtype=np.float64) for t in tail]
-        if dim is None:
-            if terms:
-                dim = len(terms[0])
-            elif tail:
-                dim = len(tail[0])
-            else:
-                raise DimensionMismatch("dim required when no terms are given")
-        return cls(dim=dim, prefix=tuple(terms), tail=tuple(tail))
-
     # ---------- sequence access ----------
 
     @property
@@ -188,19 +173,12 @@ class Strategy:
         new_prefix[k] = as_vector(value, self.dim)
         return Strategy(self.dim, tuple(new_prefix), base.tail)
 
-    def max_abs(self) -> float:
-        """Largest absolute component over prefix and tail."""
-        out = 0.0
-        for t in self.prefix + self.tail:
-            if t.size:
-                out = max(out, float(np.max(np.abs(t))))
-        return out
-
 
 def check_strategy_bounds(s: Strategy, bound_n: float,
                           context: str = "strategy") -> None:
     """Raise BoundViolation if any term component leaves [-N, N]."""
-    worst = s.max_abs()
+    worst = max((float(np.max(np.abs(t))) for t in s.prefix + s.tail),
+                default=0.0)
     if worst > bound_n:
         raise BoundViolation(
             f"{context} term component {worst!r} exceeds bound {bound_n!r}")

@@ -306,5 +306,9 @@ def parse_machine(text: str) -> TuringMachine:
 
 def load_machine(path) -> TuringMachine:
     """Parse a machine description file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_machine(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MachineParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    return parse_machine(text)

@@ -75,8 +75,8 @@ class TestBallIndex:
 
 class TestSensitivity:
     def test_integer_point_separates_exactly_full_swing(self):
-        s = Strategy.from_terms([[1.0, 1.0, 1.0], [2.0, 0.0, 0.0],
-                                 [0.0, 1.0, 0.0]], dim=3)
+        s = Strategy(3, [[1.0, 1.0, 1.0], [2.0, 0.0, 0.0],
+                         [0.0, 1.0, 0.0]])
         x = PhasePoint(s, [0.0, 0.0, 0.0])
         report = witness_sensitivity(x, 0.1, SPACE3)
         assert report.property is WitnessProperty.SENSITIVITY
@@ -87,7 +87,7 @@ class TestSensitivity:
         assert report.verdict
 
     def test_large_current_component_targets_zero(self):
-        s = Strategy.from_terms([[0.0, 0.0], [0.0, 0.0], [7.0, 0.0]], dim=2)
+        s = Strategy(2, [[0.0, 0.0], [0.0, 0.0], [7.0, 0.0]])
         x = PhasePoint(s, [1.0, 1.0])
         report = witness_sensitivity(x, 0.1, SPACE2)
         assert report.constructed_point.strategy.term(2)[0] == 0.0
@@ -95,7 +95,7 @@ class TestSensitivity:
         assert report.verdict
 
     def test_negative_current_component_targets_negative_swing(self):
-        s = Strategy.from_terms([[0.0, 0.0], [0.0, 0.0], [-3.0, 0.0]], dim=2)
+        s = Strategy(2, [[0.0, 0.0], [0.0, 0.0], [-3.0, 0.0]])
         x = PhasePoint(s, [0.0, 0.0])
         report = witness_sensitivity(x, 0.1, SPACE2)
         assert report.constructed_point.strategy.term(2)[0] == -10.0
@@ -137,7 +137,7 @@ class TestStrongTransitivity:
         assert report.verdict
 
     def test_hand_constructed_case_hits_exactly(self):
-        x_a = PhasePoint(Strategy.from_terms([[0.5, 0.25]], dim=2), [1.0, -1.0])
+        x_a = PhasePoint(Strategy(2, [[0.5, 0.25]]), [1.0, -1.0])
         x_b = PhasePoint(
             Strategy(2, (np.array([1.0, 2.0]),),
                      (np.array([4.0, 5.0]), np.array([-4.0, -5.0]))),

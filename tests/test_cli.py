@@ -178,13 +178,46 @@ class TestExitCodes:
         (".csv", "1.0\nnan\n"),
         (".csv", "inf\n"),
         (".json", '{"nv": 2, "data": [1.0, NaN]}'),
+        pytest.param(".json", '{"nv": 2, "data": [1.0, {}]}', id="json-object"),
+        pytest.param(".json", '{"nv": 1, "data": [1%s]}' % ("0" * 400),
+                     id="json-int-overflow"),
+        pytest.param(".json", '{"nv": 2, "data": [1.0, "1"]}', id="json-string"),
+        pytest.param(".json", '{"nv": 1, "data": [true]}', id="json-bool-entry"),
+        pytest.param(".json", '{"nv": true, "data": [1.0]}', id="json-bool-nv"),
+        pytest.param(".json", "[" * 100000, id="json-deep-nesting"),
     ])
     def test_non_finite_host_is_io_error(self, tmp_path, capsys, suffix, text):
         host = tmp_path / f"host{suffix}"
         host.write_text(text)
         assert main(["embed", "--scheme", "ss", "--host", str(host),
                      "--message", "1", "--out", str(tmp_path / "s.json")]) == EXIT_IO
-        assert str(host) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(host) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("target", [
+        "host.json", "host.csv", "message.txt", "tape.txt", "machine.tm"])
+    def test_non_utf8_file_is_io_error(self, tmp_path, capsys, host_json,
+                                       target):
+        bad = tmp_path / target
+        bad.write_bytes(b"1\xff\n")
+        machine = tmp_path / "inc.tm"
+        machine.write_text(MACHINE_TEXT)
+        out = str(tmp_path / "s.json")
+        argv = {
+            "host.json": ["embed", "--scheme", "ss", "--host", str(bad),
+                          "--message", "1", "--out", out],
+            "host.csv": ["embed", "--scheme", "ss", "--host", str(bad),
+                         "--message", "1", "--out", out],
+            "message.txt": ["embed", "--scheme", "ss", "--host", str(host_json),
+                            "--message-file", str(bad), "--out", out],
+            "tape.txt": ["tm", "--machine", str(machine), "--tape-file", str(bad)],
+            "machine.tm": ["tm", "--machine", str(bad)],
+        }[target]
+        assert main(argv) == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert "Traceback" not in err
 
     def test_false_verdict_maps_to_one(self):
         from chaosmark.cli import _witness_exit

@@ -1,4 +1,6 @@
-"""Modulation schemes: carriers, strategy builders, embed/decode."""
+"""Modulation schemes: carriers, the strategy builder, embed/decode."""
+
+import re
 
 import numpy as np
 import pytest
@@ -16,14 +18,14 @@ from chaosmark import (
     decode,
     embed,
     generate_carriers,
-    iss_strategy,
-    nw_strategy,
-    ss_strategy,
-    ss_watermark,
     watermark_strategy,
 )
 
 EYE2 = CarrierSet(np.eye(2))
+
+
+def ss_watermark(m, c, conf):
+    return (conf.gamma * (1.0 - 2.0 * np.asarray(m, dtype=np.float64))) @ c.matrix
 
 
 def cfg(**kw):
@@ -88,7 +90,7 @@ class TestSpreadSpectrum:
         assert w.tolist() == [2.0, -2.0]
 
     def test_strategy_terms_then_zero_tail(self):
-        s = ss_strategy([0, 1], EYE2, cfg(gamma=2.0))
+        s = watermark_strategy("ss", None, [0, 1], EYE2, cfg(gamma=2.0))
         assert s.term(0).tolist() == [2.0, 0.0]
         assert s.term(1).tolist() == [0.0, -2.0]
         assert s.term(2).tolist() == [0.0, 0.0]
@@ -119,15 +121,16 @@ class TestSpreadSpectrum:
         assert np.array_equal(w, -v)
 
     def test_amplitude_beyond_bound_rejected(self):
-        with pytest.raises(BoundViolation):
-            ss_strategy([0, 1], EYE2, cfg(gamma=50.0))
+        with pytest.raises(BoundViolation,
+                           match=re.escape("ss term (gamma inconsistent")):
+            watermark_strategy("ss", None, [0, 1], EYE2, cfg(gamma=50.0))
 
 
 class TestImprovedSpreadSpectrum:
     def test_lam_zero_reduces_to_plain_ss(self):
         host = np.array([1.25, -0.5])
-        a = iss_strategy(host, [0, 1], EYE2, cfg(alpha=2.0, lam=0.0))
-        b = ss_strategy([0, 1], EYE2, cfg(gamma=2.0))
+        a = watermark_strategy("iss", host, [0, 1], EYE2, cfg(alpha=2.0, lam=0.0))
+        b = watermark_strategy("ss", None, [0, 1], EYE2, cfg(gamma=2.0))
         for k in range(3):
             assert a.term(k).tolist() == b.term(k).tolist()
 
@@ -143,24 +146,35 @@ class TestImprovedSpreadSpectrum:
 
     def test_hand_example(self):
         # host projection 3 on carrier 0: coefficient 1*2 - 0.5*3 = 0.5
-        s = iss_strategy([3.0, 0.0], [0, 0], EYE2, cfg(alpha=2.0, lam=0.5))
+        s = watermark_strategy("iss", [3.0, 0.0], [0, 0], EYE2,
+                               cfg(alpha=2.0, lam=0.5))
         assert s.term(0).tolist() == [0.5, 0.0]
         assert s.term(1).tolist() == [0.0, 2.0]
 
     def test_orthogonal_host_reduces_to_ss_with_matching_amplitude(self):
         c = CarrierSet(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
         host = np.array([0.0, 0.0, 7.5])
-        a = iss_strategy(host, [1, 0], c, cfg(nv=3, nc=2, alpha=2.0, lam=1.0))
-        b = ss_strategy([1, 0], c, cfg(nv=3, nc=2, gamma=2.0))
+        a = watermark_strategy("iss", host, [1, 0], c,
+                               cfg(nv=3, nc=2, alpha=2.0, lam=1.0))
+        b = watermark_strategy("ss", None, [1, 0], c, cfg(nv=3, nc=2, gamma=2.0))
         for k in range(3):
             assert a.term(k).tolist() == b.term(k).tolist()
+
+    @pytest.mark.parametrize("host,conf", [
+        ([0.0, 0.0], dict(alpha=50.0)),
+        ([100.0, 0.0], dict(alpha=1.0, lam=1.0)),
+    ])
+    def test_amplitude_beyond_bound_rejected(self, host, conf):
+        with pytest.raises(BoundViolation,
+                           match=re.escape("iss term (alpha/lam inconsistent")):
+            watermark_strategy("iss", host, [0, 1], EYE2, cfg(**conf))
 
 
 class TestNormalizedScheme:
     def test_hand_example(self):
         carriers = CarrierSet(np.array([[1.0, 0.0]]))
         conf = cfg(nv=2, nc=1, eta=1.0)
-        s = nw_strategy([3.0, 0.0], [0], carriers, conf)
+        s = watermark_strategy("nw", [3.0, 0.0], [0], carriers, conf)
         assert s.term(0).tolist() == [-6.0, 0.0]
         y = embed([3.0, 0.0], [0], carriers, conf, "nw")
         assert y.tolist() == [-3.0, 0.0]
@@ -168,7 +182,14 @@ class TestNormalizedScheme:
     def test_orthogonal_host_rejected(self):
         carriers = CarrierSet(np.array([[1.0, 0.0]]))
         with pytest.raises(ZeroProjectionError):
-            nw_strategy([0.0, 5.0], [0], carriers, cfg(nv=2, nc=1))
+            watermark_strategy("nw", [0.0, 5.0], [0], carriers, cfg(nv=2, nc=1))
+
+    def test_host_beyond_bound_rejected(self):
+        # coefficient -(1 + 1) * 30 = -60 lies outside [-10, 10]
+        carriers = CarrierSet(np.array([[1.0, 0.0]]))
+        with pytest.raises(BoundViolation,
+                           match=re.escape("nw term (eta/host inconsistent")):
+            watermark_strategy("nw", [30.0, 0.0], [0], carriers, cfg(nv=2, nc=1))
 
     def test_small_eta_vanishing_distortion(self):
         c = generate_carriers(cfg(nv=8, nc=2, key=2))
@@ -218,8 +239,9 @@ class TestDecode:
             assert got.bits.tolist() == m.tolist()
             assert got.ties == ()
 
-    def test_zero_vector_decodes_to_flagged_ties(self):
-        got = decode([0.0, 0.0], EYE2, cfg(), "ss")
+    @pytest.mark.parametrize("scheme", ["ss", "iss", "nw"])
+    def test_zero_vector_decodes_to_flagged_ties(self, scheme):
+        got = decode([0.0, 0.0], EYE2, cfg(), scheme)
         assert got.bits.tolist() == [0, 0]
         assert got.ties == (0, 1)
 

@@ -79,7 +79,7 @@ class TestStrategy:
         assert z.term(7).tolist() == [0.0, 0.0]
 
     def test_shift_drops_prefix_head(self):
-        s = Strategy.from_terms([[1.0, 0.0], [2.0, 0.0]], dim=2)
+        s = Strategy(2, [[1.0, 0.0], [2.0, 0.0]])
         t = shift(s)
         assert t.term(0).tolist() == [2.0, 0.0]
         assert len(t.prefix) == 1
@@ -118,7 +118,7 @@ class TestStrategy:
             assert t.term(k).tolist() == [1.0, 1.0]
 
     def test_bounds_check(self):
-        s = Strategy.from_terms([[11.0, 0.0]], dim=2)
+        s = Strategy(2, [[11.0, 0.0]])
         with pytest.raises(BoundViolation):
             check_strategy_bounds(s, 10.0)
         check_strategy_bounds(s, 11.0)
@@ -130,7 +130,7 @@ class TestStrategy:
 
 class TestMap:
     def test_apply_g_absorbs_head_term(self):
-        s = Strategy.from_terms([[1.0, 2.0], [3.0, 4.0]], dim=2)
+        s = Strategy(2, [[1.0, 2.0], [3.0, 4.0]])
         x = PhasePoint(s, [10.0, 20.0])
         y = apply_g(x)
         assert y.media.tolist() == [11.0, 22.0]
@@ -190,7 +190,7 @@ class TestMetric:
 
     def test_single_term_difference_scores_nine(self):
         a = Strategy.zero(2)
-        b = Strategy.from_terms([[10.0, 0.0]], dim=2)
+        b = Strategy(2, [[10.0, 0.0]])
         assert d_strategy(a, b, SPACE2) == 9.0
 
     def test_alternating_full_swing_scores_ten(self):
@@ -201,7 +201,7 @@ class TestMetric:
     def test_exact_agrees_with_truncated_series(self):
         cases = [
             (Strategy.zero(2), Strategy.zero(2)),
-            (Strategy.zero(2), Strategy.from_terms([[10.0, 0.0]], dim=2)),
+            (Strategy.zero(2), Strategy(2, [[10.0, 0.0]])),
             (Strategy.zero(2),
              Strategy(2, (), (np.full(2, 10.0), np.full(2, -10.0)))),
             (Strategy(2, (np.array([1.5, -2.0]),), (np.array([0.25, 3.0]),)),
