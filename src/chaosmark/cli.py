@@ -348,7 +348,7 @@ def _cmd_tm(args) -> int:
     }
     if args.out or args.format == "csv":
         _emit(payload, args.format, args.out)
-    if not args.out:
+    else:
         verb = "halted" if result.halted else "stopped"
         print(f"{verb} after {result.steps} steps ({result.reason}); "
               f"state={result.config.state} head={result.config.head} "

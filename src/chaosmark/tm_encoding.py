@@ -7,10 +7,12 @@ transition also halts a run (with a distinct reason), so every run
 terminates by halt or by step budget.
 
 The tape is stored sparsely: a mapping from absolute cell index to
-symbol, with every unwritten cell reading as the blank.  Step never
-touches any cell other than the one under the head, so run results
-compose: running a+b steps equals running a, then b from the
-intermediate configuration.
+symbol, with every unwritten cell reading as the blank and at most
+MAX_TAPE_CELLS cells written.  A run mutates one working tape and
+freezes it into a configuration only at return, so it is linear in its
+steps; tm_step is one step of a run.  A step never touches any cell
+other than the one under the head, so run results compose: running a+b
+steps equals running a, then b from the intermediate configuration.
 """
 
 from __future__ import annotations
@@ -19,6 +21,11 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 MOVES = ("L", "R")
+MAX_TAPE_CELLS = 10**6
+
+
+class BudgetExceeded(ValueError):
+    """A run or its input would exceed a fixed work or memory budget."""
 
 
 class AlreadyHalted(ValueError):
@@ -131,6 +138,9 @@ def initial_configuration(machine: TuringMachine, tape,
     """
     cells = {}
     for i, symbol in enumerate(tape):
+        if i >= MAX_TAPE_CELLS:
+            raise BudgetExceeded(
+                f"tape is longer than MAX_TAPE_CELLS={MAX_TAPE_CELLS} cells")
         if symbol not in machine.alphabet:
             raise ValueError(f"tape symbol {symbol!r} not in the alphabet")
         cells[i] = symbol
@@ -155,7 +165,7 @@ def tape_window(config: TmConfiguration, blank: str,
 
 def tm_step(machine: TuringMachine,
             config: TmConfiguration) -> TmConfiguration:
-    """Apply one transition.
+    """Apply one transition: one step of tm_run.
 
     Writes the rule's symbol at the head, moves one cell, enters the
     next state.  Only the cell under the head is touched.
@@ -165,19 +175,15 @@ def tm_step(machine: TuringMachine,
             no successor; callers must check before stepping).
         UndefinedTransition: the machine has no rule for the current
             (state, symbol) pair.
+        BudgetExceeded: the step would exceed MAX_TAPE_CELLS cells.
     """
     if config.state in machine.halting_states:
         raise AlreadyHalted(
             f"state {config.state!r} is a halting state; no step from here")
-    symbol = config.cells.get(config.head, machine.blank)
-    rule = machine.transitions.get((config.state, symbol))
-    if rule is None:
-        raise UndefinedTransition(config.state, symbol)
-    next_state, write, move = rule
-    cells = dict(config.cells)
-    cells[config.head] = write
-    head = config.head + (1 if move == "R" else -1)
-    return TmConfiguration(cells, head, next_state)
+    result = tm_run(machine, config, 1)
+    if result.reason == "no_transition":
+        raise UndefinedTransition(config.state, config.read(machine.blank))
+    return result.config
 
 
 @dataclass(frozen=True)
@@ -213,24 +219,41 @@ def tm_run(machine: TuringMachine, config: TmConfiguration,
            max_steps: int) -> TmRunResult:
     """Run up to max_steps transitions from config.
 
+    Copies config's tape once, applies each rule to that working tape in
+    place, and freezes it into one configuration at return.
+
     Returns:
         TmRunResult with the final configuration, the number of steps
         actually executed, whether the run halted, and why it stopped.
+
+    Raises:
+        BudgetExceeded: the tape would exceed MAX_TAPE_CELLS cells.
     """
     if not isinstance(max_steps, int) or max_steps < 0:
         raise ValueError(
             f"max_steps must be a non-negative integer, got {max_steps!r}")
-    steps = 0
+    cells, limit = dict(config.cells), MAX_TAPE_CELLS
+    head, state, steps = config.head, config.state, 0
+    halting, rules, blank = machine.halting_states, machine.transitions, machine.blank
     while True:
-        if config.state in machine.halting_states:
-            return TmRunResult(config, steps, True, "halt_state")
+        if state in halting:
+            halted, reason = True, "halt_state"
+            break
         if steps >= max_steps:
-            return TmRunResult(config, steps, False, "step_limit")
-        try:
-            config = tm_step(machine, config)
-        except UndefinedTransition:
-            return TmRunResult(config, steps, True, "no_transition")
+            halted, reason = False, "step_limit"
+            break
+        rule = rules.get((state, cells.get(head, blank)))
+        if rule is None:
+            halted, reason = True, "no_transition"
+            break
+        state, cells[head], move = rule
+        if len(cells) > limit:
+            raise BudgetExceeded(
+                f"tape would exceed MAX_TAPE_CELLS={limit} cells "
+                f"at step {steps + 1}")
+        head += 1 if move == "R" else -1
         steps += 1
+    return TmRunResult(TmConfiguration(cells, head, state), steps, halted, reason)
 
 
 # ---------- declarative machine format ----------

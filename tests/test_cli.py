@@ -1,11 +1,13 @@
 """Command line surface: round trips, report determinism, exit codes, formats."""
 
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
-from chaosmark import SchemeConfig, fileio, generate_carriers
+from chaosmark import SchemeConfig, fileio, generate_carriers, tm_encoding
 from chaosmark.cli import EXIT_FALSE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 MACHINE_TEXT = """\
@@ -332,6 +334,31 @@ class TestTm:
         machine = tmp_path / "bad.tm"
         machine.write_text("states: a\nwhat\n")
         assert main(["tm", "--machine", str(machine)]) == EXIT_IO
+
+    def test_csv_report_on_stdout_is_pure_csv(self, tmp_path, capsys):
+        machine = tmp_path / "inc.tm"
+        machine.write_text(MACHINE_TEXT)
+        assert main(["tm", "--machine", str(machine), "--tape", "11",
+                     "--format", "csv"]) == EXIT_OK
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0] == ["key", "value"]
+        assert all(len(row) == 2 for row in rows)
+        assert ["result.steps", "3"] in rows
+
+    @pytest.mark.parametrize("extra", [
+        ["--tape", "1" * 21],                 # input tape over the budget
+        ["--tape", "1" * 19, "--max-steps", "100"],  # the run grows it past
+    ])
+    def test_tape_budget_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                        extra):
+        monkeypatch.setattr(tm_encoding, "MAX_TAPE_CELLS", 20)
+        machine = tmp_path / "writer.tm"
+        machine.write_text("states: go\nalphabet: 1 #\ninitial: go\n"
+                           "go 1 -> go 1 R\ngo # -> go 1 R\n")
+        assert main(["tm", "--machine", str(machine), *extra]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "MAX_TAPE_CELLS=20" in err
+        assert "Traceback" not in err
 
 
 class TestFileio:

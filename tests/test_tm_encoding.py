@@ -1,9 +1,11 @@
 """Machine steps as map applications: runs, composition, and the text format."""
 
+import numpy as np
 import pytest
 
 from chaosmark import (
     AlreadyHalted,
+    BudgetExceeded,
     MachineParseError,
     TmConfiguration,
     TuringMachine,
@@ -14,6 +16,7 @@ from chaosmark import (
     tm_run,
     tm_step,
 )
+from chaosmark import tm_encoding
 
 UNARY_INCREMENT = TuringMachine(
     states=frozenset({"scan", "accept"}),
@@ -44,6 +47,79 @@ RIGHT_MOVER = TuringMachine(
     transitions={("go", "#"): ("go", "#", "R")},
     initial_state="go",
 )
+
+RIGHT_WRITER = TuringMachine(
+    states=frozenset({"go"}),
+    alphabet=frozenset({"1", "#"}),
+    transitions={("go", "#"): ("go", "1", "R")},
+    initial_state="go",
+)
+
+# Five-state, two-symbol busy-beaver champion (Marxen and Buntrock):
+# it runs 47,176,870 steps from a blank tape, so any shorter run ends
+# at its step limit.
+BUSY_BEAVER_TEXT = """\
+states:   A B C D E H
+alphabet: 0 1
+blank:    0
+initial:  A
+halting:  H
+A 0 -> B 1 R
+A 1 -> C 1 L
+B 0 -> C 1 R
+B 1 -> B 1 R
+C 0 -> D 1 R
+C 1 -> E 0 L
+D 0 -> A 1 L
+D 1 -> D 1 L
+E 0 -> H 1 R
+E 1 -> A 0 L
+"""
+
+
+def reference_run(machine, config, max_steps):
+    """Plain stepper on one dict mutated in place: (cells, head, state, steps, reason)."""
+    cells = dict(config.cells)
+    head, state, steps = config.head, config.state, 0
+    while True:
+        if state in machine.halting_states:
+            return cells, head, state, steps, "halt_state"
+        if steps >= max_steps:
+            return cells, head, state, steps, "step_limit"
+        rule = machine.transitions.get((state, cells.get(head, machine.blank)))
+        if rule is None:
+            return cells, head, state, steps, "no_transition"
+        state, cells[head], move = rule
+        head += 1 if move == "R" else -1
+        steps += 1
+
+
+def random_runs(seed, count):
+    """Seeded (machine, start, max_steps) triples: 1-4 states, 1-3 symbols
+    (one of them two characters long), missing rules, halting states,
+    pre-written cells at negative indices, heads from -3 to 15."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        states = [f"q{i}" for i in range(int(rng.integers(1, 5)))]
+        symbols = ["#", "1", "10"][:int(rng.integers(1, 4))]
+        rules = {
+            (q, a): (states[int(rng.integers(len(states)))],
+                     symbols[int(rng.integers(len(symbols)))],
+                     "LR"[int(rng.integers(2))])
+            for q in states for a in symbols if rng.random() < 0.8
+        }
+        machine = TuringMachine(
+            states=frozenset(states),
+            alphabet=frozenset(symbols),
+            transitions=rules,
+            initial_state=states[0],
+            halting_states=frozenset(q for q in states if rng.random() < 0.3),
+        )
+        cells = {int(i): symbols[int(rng.integers(len(symbols)))]
+                 for i in rng.integers(-5, 20, size=int(rng.integers(0, 12)))}
+        start = TmConfiguration(cells, int(rng.integers(-3, 16)),
+                                states[int(rng.integers(len(states)))])
+        yield machine, start, int(rng.integers(0, 301))
 
 
 class TestRuns:
@@ -133,6 +209,84 @@ class TestRuns:
         assert payload["reason"] == "halt_state"
         # the window extends to the final head position, one past the marks
         assert payload["tape"] == "111#"
+
+
+class TestAgainstReference:
+    def test_runs_match_the_reference_stepper(self):
+        reasons = set()
+        negative_heads = multichar = 0
+        for machine, start, max_steps in random_runs(31, 600):
+            before = dict(start.cells)
+            result = tm_run(machine, start, max_steps)
+            cells, head, state, steps, reason = reference_run(
+                machine, start, max_steps)
+            assert dict(result.config.cells) == cells
+            assert (result.config.head, result.config.state) == (head, state)
+            assert (result.steps, result.reason) == (steps, reason)
+            assert result.halted == (reason != "step_limit")
+            assert dict(start.cells) == before
+            reasons.add(reason)
+            negative_heads += head < 0
+            multichar += "10" in cells.values()
+        assert reasons == {"halt_state", "no_transition", "step_limit"}
+        assert negative_heads and multichar
+
+    def test_run_equals_successive_steps(self):
+        for machine, start, max_steps in random_runs(32, 200):
+            result = tm_run(machine, start, max_steps)
+            config, steps = start, 0
+            while steps < max_steps and config.state not in machine.halting_states:
+                try:
+                    config = tm_step(machine, config)
+                except UndefinedTransition:
+                    break
+                steps += 1
+            assert steps == result.steps
+            assert config == result.config
+
+    def test_one_run_builds_one_configuration(self, monkeypatch):
+        machine = parse_machine(BUSY_BEAVER_TEXT)
+        start = initial_configuration(machine, "")
+        built = []
+        post_init = TmConfiguration.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(TmConfiguration, "__post_init__", counting)
+        result = tm_run(machine, start, 5000)
+        assert result.steps == 5000 and result.reason == "step_limit"
+        assert len(built) == 1
+
+
+class TestTapeBudget:
+    def test_run_stops_at_the_budget(self, monkeypatch):
+        monkeypatch.setattr(tm_encoding, "MAX_TAPE_CELLS", 50)
+        start = initial_configuration(RIGHT_WRITER, "")
+        assert len(tm_run(RIGHT_WRITER, start, 50).config.cells) == 50
+        with pytest.raises(BudgetExceeded, match="MAX_TAPE_CELLS=50.*step 51"):
+            tm_run(RIGHT_WRITER, start, 1000)
+        # rewriting cells already on the tape costs nothing
+        full = tm_run(RIGHT_MOVER, TmConfiguration(
+            {i: "#" for i in range(50)}, 0, "go"), 50)
+        assert full.steps == 50
+
+    def test_step_stops_at_the_budget(self, monkeypatch):
+        monkeypatch.setattr(tm_encoding, "MAX_TAPE_CELLS", 1)
+        config = tm_step(RIGHT_WRITER, initial_configuration(RIGHT_WRITER, ""))
+        with pytest.raises(BudgetExceeded):
+            tm_step(RIGHT_WRITER, config)
+
+    def test_initial_tape_over_the_budget_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(tm_encoding, "MAX_TAPE_CELLS", 5)
+        assert len(initial_configuration(UNARY_INCREMENT, "11111").cells) == 5
+        with pytest.raises(BudgetExceeded, match="MAX_TAPE_CELLS=5"):
+            initial_configuration(UNARY_INCREMENT, "111111")
+
+    def test_budget_is_a_value_error(self):
+        assert issubclass(BudgetExceeded, ValueError)
+        assert tm_encoding.MAX_TAPE_CELLS == 10**6
 
 
 class TestStep:
