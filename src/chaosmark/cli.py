@@ -27,8 +27,6 @@ import numpy as np
 
 from . import fileio
 from .chaos_analysis import (
-    OrbitTrace,
-    WitnessReport,
     continuity_probe,
     continuity_report,
     divergence_trace,
@@ -59,18 +57,20 @@ EXIT_IO = 3
 _DEFAULT_SCALES = "0.1,0.01,0.001,0.0001,1e-05,1e-06"
 
 
-def _default_seed() -> int:
+def _seed_of(args) -> int:
+    if args.seed is not None:
+        return args.seed
     raw = os.environ.get("CHAOSMARK_SEED", "").strip()
-    if not raw:
-        return 0
     try:
-        return int(raw)
+        return int(raw) if raw else 0
     except ValueError:
         raise ValueError(f"CHAOSMARK_SEED must be an integer, got {raw!r}")
 
 
-def _seed_of(args) -> int:
-    return args.seed if args.seed is not None else _default_seed()
+def _report(command: str, config: dict, **body) -> dict:
+    """Report envelope: schema, command and effective config, then the body."""
+    return {"schema": fileio.SCHEMA, "command": command, "config": config,
+            **body}
 
 
 def _emit(payload: dict, fmt: str, out, kind: str = "kv") -> None:
@@ -128,6 +128,8 @@ def _resolve_message(args) -> tuple[str, int | None]:
         raise ValueError("a message is required: --message or --message-file")
     text = text.strip()
     if args.nc is not None:
+        if args.nc < 1:
+            raise ValueError(f"nc must be a positive integer, got {args.nc!r}")
         return text, args.nc
     if text.lower().startswith("0x"):
         raise ValueError("--nc is required when the message is hex")
@@ -146,14 +148,9 @@ def _cmd_embed(args) -> int:
     stego = embed(host, bits, carriers, cfg, args.scheme)
     fileio.write_vector(args.out, stego)
 
-    meta = {
-        "schema": fileio.SCHEMA,
-        "command": "embed",
-        "config": _scheme_config_dict(cfg, args.scheme),
-        "host": str(args.host),
-        "stego": str(args.out),
-        "distortion_inf": d_inf(stego, host),
-    }
+    meta = _report("embed", _scheme_config_dict(cfg, args.scheme),
+                   host=str(args.host), stego=str(args.out),
+                   distortion_inf=d_inf(stego, host))
     meta_path = args.meta if args.meta else f"{args.out}.meta.json"
     Path(meta_path).write_text(fileio.render_json(meta), encoding="utf-8")
     print(f"embedded {nc} bits with {args.scheme} into {args.out} "
@@ -173,14 +170,9 @@ def _cmd_decode(args) -> int:
     result = decode(stego, carriers, cfg, args.scheme)
     bitstring = fileio.bits_to_string(result.bits)
     if args.out:
-        payload = {
-            "schema": fileio.SCHEMA,
-            "command": "decode",
-            "config": _scheme_config_dict(cfg, args.scheme),
-            "stego": str(args.stego),
-            "bits": bitstring,
-            "ties": list(result.ties),
-        }
+        payload = _report("decode", _scheme_config_dict(cfg, args.scheme),
+                          stego=str(args.stego), bits=bitstring,
+                          ties=list(result.ties))
         Path(args.out).write_text(fileio.render_json(payload), encoding="utf-8")
     print(bitstring)
     if result.ties:
@@ -190,137 +182,84 @@ def _cmd_decode(args) -> int:
 
 
 # ---------- analyze ----------
+# An analysis takes the arguments, the space, the seed and a lazy stream
+# of start points; it returns its own config keys and its report body.
+# expansivity draws no point, so it never seeds a generator.
 
-def _space_of(args) -> SpaceConfig:
-    return SpaceConfig(nv=args.nv, bound_n=args.bound_n)
-
-
-def _analyze_config(args, space: SpaceConfig, seed: int, **extra) -> dict:
-    cfg = {
-        "nv": space.nv,
-        "bound_n": space.bound_n,
-        "seed": seed,
-        "tolerance": args.tolerance,
-    }
-    cfg.update(extra)
-    return cfg
-
-
-def _witness_exit(report: WitnessReport) -> int:
-    return EXIT_OK if report.verdict else EXIT_FALSE
-
-
-def _emit_witness(args, command: str, config: dict, report: WitnessReport,
-                  trace: OrbitTrace | None = None) -> int:
-    payload = {
-        "schema": fileio.SCHEMA,
-        "command": command,
-        "config": config,
-        "report": report.to_dict(),
-    }
-    if trace is not None:
-        payload["trace"] = trace.to_dict()
-    _emit(payload, args.format, args.out)
-    return _witness_exit(report)
-
-
-def _cmd_sensitivity(args) -> int:
-    space = _space_of(args)
-    seed = _seed_of(args)
-    x = random_phase_point(seed, space)
-    report = witness_sensitivity(x, args.r, space, args.tolerance)
-    config = _analyze_config(args, space, seed, r=args.r)
-    return _emit_witness(args, "analyze sensitivity", config, report)
-
-
-def _cmd_transitivity(args) -> int:
-    space = _space_of(args)
-    seed = _seed_of(args)
+def _start_points(seed: int, space: SpaceConfig):
+    """Random start points, drawn on demand from default_rng(seed)."""
     rng = np.random.default_rng(seed)
-    x_a = random_phase_point(rng, space)
-    x_b = random_phase_point(rng, space)
+    while True:
+        yield random_phase_point(rng, space)
+
+
+def _sensitivity(args, space, seed, points):
+    report = witness_sensitivity(next(points), args.r, space, args.tolerance)
+    return {"r": args.r}, {"report": report.to_dict()}
+
+
+def _transitivity(args, space, seed, points):
+    x_a, x_b = next(points), next(points)
     report = witness_strong_transitivity(x_a, args.r_a, x_b, space,
                                          args.tolerance)
-    config = _analyze_config(args, space, seed, r_a=args.r_a)
-    return _emit_witness(args, "analyze transitivity", config, report)
+    return {"r_a": args.r_a}, {"report": report.to_dict()}
 
 
-def _cmd_regularity(args) -> int:
-    space = _space_of(args)
-    seed = _seed_of(args)
-    x = random_phase_point(seed, space)
-    report = witness_regularity(x, args.eps, space, args.tolerance)
-    config = _analyze_config(args, space, seed, eps=args.eps)
-    return _emit_witness(args, "analyze regularity", config, report)
+def _regularity(args, space, seed, points):
+    report = witness_regularity(next(points), args.eps, space, args.tolerance)
+    return {"eps": args.eps}, {"report": report.to_dict()}
 
 
-def _cmd_expansivity(args) -> int:
-    space = _space_of(args)
-    seed = _seed_of(args)
+def _expansivity(args, space, seed, points):
     report = expansivity_counterexample(args.eps, args.n_max, space,
                                         args.tolerance)
     if not report.measured["eps_bound_holds"]:
         print(f"note: sup distance {report.measured['sup_distance']!r} "
               f"exceeds eps={args.eps!r} (bound_n={args.bound_n!r} < 10); "
               f"the derived bound still holds", file=sys.stderr)
-    config = _analyze_config(args, space, seed, eps=args.eps, n_max=args.n_max)
-    return _emit_witness(args, "analyze expansivity", config, report)
+    return {"eps": args.eps, "n_max": args.n_max}, {"report": report.to_dict()}
 
 
-def _cmd_continuity(args) -> int:
-    space = _space_of(args)
-    seed = _seed_of(args)
+def _continuity(args, space, seed, points):
     scales = [float(s) for s in args.scales.split(",") if s.strip()]
-    x = random_phase_point(seed, space)
+    x = next(points)
     trace = continuity_probe(x, scales, space)
     report = continuity_report(x, trace, args.tolerance)
-    config = _analyze_config(args, space, seed, scales=scales)
-    return _emit_witness(args, "analyze continuity", config, report, trace)
+    return {"scales": scales}, {"report": report.to_dict(),
+                                "trace": trace.to_dict()}
 
 
-def _cmd_scan(args) -> int:
-    space = _space_of(args)
-    seed = _seed_of(args)
-    x = random_phase_point(seed, space)
+def _scan(args, space, seed, points):
+    x = next(points)
     value = empirical_sensitivity_scan(x, args.r, args.trials, args.n_max,
                                        seed, space)
-    config = _analyze_config(args, space, seed, r=args.r, trials=args.trials,
-                             n_max=args.n_max)
-    payload = {
-        "schema": fileio.SCHEMA,
-        "command": "analyze scan",
-        "config": config,
-        "result": {
-            "max_separation": value,
-            "start_point": phase_point_to_dict(x),
-        },
-    }
-    _emit(payload, args.format, args.out)
-    return EXIT_OK
+    return ({"r": args.r, "trials": args.trials, "n_max": args.n_max},
+            {"result": {"max_separation": value,
+                        "start_point": phase_point_to_dict(x)}})
 
 
-def _cmd_trace(args) -> int:
-    space = _space_of(args)
-    seed = _seed_of(args)
-    rng = np.random.default_rng(seed)
-    x = random_phase_point(rng, space)
+def _trace(args, space, seed, points):
+    x = next(points)
     if args.pair == "sensitivity":
         y = witness_sensitivity(x, args.r, space).constructed_point
     elif args.pair == "expansivity":
         x, y = expansivity_pair(args.eps, space)
     else:
-        y = random_phase_point(rng, space)
+        y = next(points)
     trace = divergence_trace(x, y, args.n_max, space)
-    config = _analyze_config(args, space, seed, pair=args.pair, r=args.r,
-                             eps=args.eps, n_max=args.n_max)
-    payload = {
-        "schema": fileio.SCHEMA,
-        "command": "analyze trace",
-        "config": config,
-        "trace": trace.to_dict(),
-    }
-    _emit(payload, args.format, args.out, kind="trace")
-    return EXIT_OK
+    return ({"pair": args.pair, "r": args.r, "eps": args.eps,
+             "n_max": args.n_max}, {"trace": trace.to_dict()})
+
+
+def _cmd_analyze(args) -> int:
+    space = SpaceConfig(nv=args.nv, bound_n=args.bound_n)
+    seed = _seed_of(args)
+    extra, body = args.analyze(args, space, seed, _start_points(seed, space))
+    config = {"nv": space.nv, "bound_n": space.bound_n, "seed": seed,
+              "tolerance": args.tolerance, **extra}
+    _emit(_report(f"analyze {args.analysis}", config, **body), args.format,
+          args.out, kind="trace" if args.analysis == "trace" else "kv")
+    return EXIT_OK if body.get("report", {}).get("verdict", True) else EXIT_FALSE
 
 
 # ---------- tm ----------
@@ -335,17 +274,9 @@ def _cmd_tm(args) -> int:
         tape = args.tape or ""
     config = initial_configuration(machine, tape, args.head)
     result = tm_run(machine, config, args.max_steps)
-    payload = {
-        "schema": fileio.SCHEMA,
-        "command": "tm",
-        "config": {
-            "machine": str(args.machine),
-            "tape": tape,
-            "head": args.head,
-            "max_steps": args.max_steps,
-        },
-        "result": result.to_dict(machine),
-    }
+    payload = _report("tm", {"machine": str(args.machine), "tape": tape,
+                             "head": args.head, "max_steps": args.max_steps},
+                      result=result.to_dict(machine))
     if args.out or args.format == "csv":
         _emit(payload, args.format, args.out)
     else:
@@ -420,36 +351,36 @@ def build_parser() -> argparse.ArgumentParser:
     p = an_sub.add_parser("sensitivity", help="constructive sensitivity witness")
     _add_analyze_options(p)
     p.add_argument("--r", type=float, required=True, help="ball radius")
-    p.set_defaults(func=_cmd_sensitivity)
+    p.set_defaults(func=_cmd_analyze, analyze=_sensitivity)
 
     p = an_sub.add_parser("transitivity", help="constructive strong-transitivity witness")
     _add_analyze_options(p)
     p.add_argument("--r-a", type=float, required=True, help="source ball radius")
-    p.set_defaults(func=_cmd_transitivity)
+    p.set_defaults(func=_cmd_analyze, analyze=_transitivity)
 
     p = an_sub.add_parser("regularity", help="periodic-approximation witness")
     _add_analyze_options(p)
     p.add_argument("--eps", type=float, required=True)
-    p.set_defaults(func=_cmd_regularity)
+    p.set_defaults(func=_cmd_analyze, analyze=_regularity)
 
     p = an_sub.add_parser("expansivity", help="non-expansivity counterexample")
     _add_analyze_options(p)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--n-max", type=int, default=100)
-    p.set_defaults(func=_cmd_expansivity)
+    p.set_defaults(func=_cmd_analyze, analyze=_expansivity)
 
     p = an_sub.add_parser("continuity", help="shrinking-perturbation probe")
     _add_analyze_options(p)
     p.add_argument("--scales", default=_DEFAULT_SCALES,
                    help="comma-separated strictly decreasing positive scales")
-    p.set_defaults(func=_cmd_continuity)
+    p.set_defaults(func=_cmd_analyze, analyze=_continuity)
 
     p = an_sub.add_parser("scan", help="randomized in-ball separation scan")
     _add_analyze_options(p)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--n-max", type=int, default=20)
-    p.set_defaults(func=_cmd_scan)
+    p.set_defaults(func=_cmd_analyze, analyze=_scan)
 
     p = an_sub.add_parser("trace", help="orbit divergence trace")
     _add_analyze_options(p)
@@ -460,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.5,
                    help="eps for the expansivity pair")
     p.add_argument("--n-max", type=int, default=50)
-    p.set_defaults(func=_cmd_trace)
+    p.set_defaults(func=_cmd_analyze, analyze=_trace)
 
     p_tm = sub.add_parser("tm", help="run a Turing machine description")
     p_tm.add_argument("--machine", required=True, help="machine description file")

@@ -145,6 +145,9 @@ def _read_vector_pgm(path: Path) -> np.ndarray:
             samples = [int(token()) for _ in range(count)]
         except FormatError:
             raise FormatError(f"{path}: PGM pixel data truncated")
+        except ValueError as exc:
+            raise FormatError(
+                f"{path}: PGM samples must be integers: {exc}") from exc
         arr = np.array(samples, dtype=np.float64)
     else:
         pos += 1  # exactly one whitespace byte separates header from raster

@@ -135,6 +135,10 @@ def initial_configuration(machine: TuringMachine, tape,
         tape: iterable of symbols (a string works when symbols are
             single characters).
         head: starting head position.
+
+    Raises:
+        BudgetExceeded: a non-empty tape and the head span more than
+            MAX_TAPE_CELLS cells.
     """
     cells = {}
     for i, symbol in enumerate(tape):
@@ -144,6 +148,9 @@ def initial_configuration(machine: TuringMachine, tape,
         if symbol not in machine.alphabet:
             raise ValueError(f"tape symbol {symbol!r} not in the alphabet")
         cells[i] = symbol
+    if cells and max(len(cells) - 1, head) - min(0, head) >= MAX_TAPE_CELLS:
+        raise BudgetExceeded(f"tape and head span more than "
+                             f"MAX_TAPE_CELLS={MAX_TAPE_CELLS} cells")
     return TmConfiguration(cells, head, machine.initial_state)
 
 

@@ -187,6 +187,7 @@ class TestExitCodes:
         pytest.param(".json", '{"nv": 1, "data": [true]}', id="json-bool-entry"),
         pytest.param(".json", '{"nv": true, "data": [1.0]}', id="json-bool-nv"),
         pytest.param(".json", "[" * 100000, id="json-deep-nesting"),
+        pytest.param(".pgm", "P2\n1 2\n255\nx 1\n", id="pgm-non-integer"),
     ])
     def test_non_finite_host_is_io_error(self, tmp_path, capsys, suffix, text):
         host = tmp_path / f"host{suffix}"
@@ -221,14 +222,27 @@ class TestExitCodes:
         assert str(bad) in err
         assert "Traceback" not in err
 
-    def test_false_verdict_maps_to_one(self):
-        from chaosmark.cli import _witness_exit
+    def test_false_verdict_maps_to_one(self, tmp_path):
+        # at tolerance 0 the exact hit's rounding residue fails the verdict
+        out = tmp_path / "r.json"
+        assert main(["analyze", "transitivity", "--r-a", "0.01", "--seed", "0",
+                     "--tolerance", "0", "--out", str(out)]) == EXIT_FALSE
+        report = json.loads(out.read_text())["report"]
+        assert report["verdict"] is False
+        assert 0.0 < report["measured"]["final_distance"] < 1e-12
 
-        class Stub:
-            verdict = False
-        assert _witness_exit(Stub()) == EXIT_FALSE
-        Stub.verdict = True
-        assert _witness_exit(Stub()) == EXIT_OK
+    @pytest.mark.parametrize("message", ["0101", "0x1"])
+    @pytest.mark.parametrize("nc", ["0", "-3"])
+    def test_non_positive_nc_is_usage_error(self, tmp_path, capsys, host_json,
+                                            message, nc):
+        argv = ["--scheme", "ss", "--nc", nc]
+        assert main(["embed", *argv, "--host", str(host_json),
+                     "--message", message,
+                     "--out", str(tmp_path / "s.json")]) == EXIT_USAGE
+        embed_err = capsys.readouterr().err
+        assert embed_err == f"error: nc must be a positive integer, got {nc}\n"
+        assert main(["decode", *argv, "--stego", str(host_json)]) == EXIT_USAGE
+        assert capsys.readouterr().err == embed_err
 
 
 class TestAnalyze:
@@ -358,6 +372,15 @@ class TestTm:
         assert main(["tm", "--machine", str(machine), *extra]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "MAX_TAPE_CELLS=20" in err
+        assert "Traceback" not in err
+
+    def test_head_far_from_the_tape_is_usage_error(self, tmp_path, capsys):
+        machine = tmp_path / "inc.tm"
+        machine.write_text(MACHINE_TEXT)
+        assert main(["tm", "--machine", str(machine), "--tape", "11",
+                     "--head", "99999999999999999999"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: tape and head span more than")
         assert "Traceback" not in err
 
 

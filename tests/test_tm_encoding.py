@@ -284,6 +284,16 @@ class TestTapeBudget:
         with pytest.raises(BudgetExceeded, match="MAX_TAPE_CELLS=5"):
             initial_configuration(UNARY_INCREMENT, "111111")
 
+    def test_head_far_from_the_tape_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(tm_encoding, "MAX_TAPE_CELLS", 5)
+        for head in (4, -3):  # cells 0..4 and -3..1: five cells each
+            assert initial_configuration(UNARY_INCREMENT, "11", head).head == head
+        for head in (5, -4, 10**20, -10**20):
+            with pytest.raises(BudgetExceeded, match="MAX_TAPE_CELLS=5"):
+                initial_configuration(UNARY_INCREMENT, "11", head)
+        # an empty tape spans only the head's cell
+        assert initial_configuration(UNARY_INCREMENT, "", 10**20).head == 10**20
+
     def test_budget_is_a_value_error(self):
         assert issubclass(BudgetExceeded, ValueError)
         assert tm_encoding.MAX_TAPE_CELLS == 10**6
