@@ -39,7 +39,7 @@ def main() -> None:
     for report in reports:
         measured = ", ".join(f"{k}={v:.6g}" for k, v in report.measured.items())
         status = "ok" if report.verdict else "FAILED"
-        print(f"{report.property.value:20s} {status:6s} "
+        print(f"{report.property:20s} {status:6s} "
               f"iterations={report.iterations_used:<4d} {measured}")
 
 

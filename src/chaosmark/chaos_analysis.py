@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -49,24 +48,18 @@ from .phase_space import (
 DEFAULT_TOLERANCE = 1e-9
 
 
-class WitnessProperty(str, Enum):
-    SENSITIVITY = "sensitivity"
-    STRONG_TRANSITIVITY = "strong_transitivity"
-    REGULARITY = "regularity"
-    NON_EXPANSIVITY = "non_expansivity"
-    CONTINUITY = "continuity"
-
-
 @dataclass(frozen=True, eq=False)
 class WitnessReport:
     """Outcome of one constructive witness run.
 
-    measured holds the named quantities the property's bound is stated
-    over; verdict is true iff every one of them met its bound (within
-    tolerance where the bound is approximate).
+    property names what was witnessed: sensitivity, strong_transitivity,
+    regularity, non_expansivity or continuity.  measured holds the
+    named quantities the property's bound is stated over; verdict is
+    true iff every one of them met its bound (within tolerance where
+    the bound is approximate).
     """
 
-    property: WitnessProperty
+    property: str
     inputs: dict
     constructed_point: PhasePoint | tuple[PhasePoint, PhasePoint]
     iterations_used: int
@@ -80,7 +73,7 @@ class WitnessReport:
         else:
             point = phase_point_to_dict(self.constructed_point)
         return {
-            "property": self.property.value,
+            "property": self.property,
             "inputs": dict(self.inputs),
             "constructed_point": point,
             "iterations_used": self.iterations_used,
@@ -125,18 +118,8 @@ def strategy_to_dict(s: Strategy) -> dict:
     }
 
 
-def strategy_from_dict(d: dict) -> Strategy:
-    tail = d.get("tail", {"kind": "zero", "block": []})
-    block = tuple(tail.get("block", ())) if tail.get("kind") == "periodic" else ()
-    return Strategy(int(d["dim"]), tuple(d.get("prefix", ())), block)
-
-
 def phase_point_to_dict(x: PhasePoint) -> dict:
     return {"strategy": strategy_to_dict(x.strategy), "media": x.media.tolist()}
-
-
-def phase_point_from_dict(d: dict) -> PhasePoint:
-    return PhasePoint(strategy_from_dict(d["strategy"]), d["media"])
 
 
 # ---------- shared arithmetic ----------
@@ -212,7 +195,7 @@ def witness_sensitivity(x: PhasePoint, r: float, space: SpaceConfig,
     separation = d_phase(iterate_g(x, steps), iterate_g(witness, steps), space)
     verdict = ball_distance <= float(r) and separation >= half - tolerance
     return WitnessReport(
-        property=WitnessProperty.SENSITIVITY,
+        property="sensitivity",
         inputs={"r": float(r), "k0": k0, "nv": x.dim, "bound_n": n},
         constructed_point=witness,
         iterations_used=steps,
@@ -290,7 +273,7 @@ def witness_strong_transitivity(x_a: PhasePoint, r_a: float, x_b: PhasePoint,
     final_distance = d_phase(final, x_b, space)
     verdict = final_distance <= tolerance
     return WitnessReport(
-        property=WitnessProperty.STRONG_TRANSITIVITY,
+        property="strong_transitivity",
         inputs={
             "r_a": r_a,
             "k0": k0,
@@ -347,7 +330,7 @@ def witness_regularity(x: PhasePoint, eps: float, space: SpaceConfig,
     period_sum = float(np.max(np.abs(tail[0] + tail[1])))
     verdict = distance < eps and period_sum <= tolerance
     return WitnessReport(
-        property=WitnessProperty.REGULARITY,
+        property="regularity",
         inputs={"eps": eps, "n0": n0, "nv": nv, "bound_n": n},
         constructed_point=candidate,
         iterations_used=n0,
@@ -374,7 +357,7 @@ def expansivity_pair(eps: float, space: SpaceConfig,
     if eps / 2.0 > n:
         raise BoundViolation(
             f"eps/2 = {eps / 2.0} exceeds the strategy bound {n}")
-    rest = PhasePoint(Strategy.zero(nv), zeros_vector(nv))
+    rest = PhasePoint(Strategy(nv), zeros_vector(nv))
     up = basis_vector(nv, 0, eps / 2.0)
     down = basis_vector(nv, 0, -eps / 2.0)
     flipper = PhasePoint(Strategy(nv, (), (up, down)), zeros_vector(nv))
@@ -406,7 +389,7 @@ def expansivity_counterexample(eps: float, n_max: int, space: SpaceConfig,
     eps_bound_holds = sup_distance <= eps + tolerance
     verdict = sup_distance <= derived_bound + tolerance
     return WitnessReport(
-        property=WitnessProperty.NON_EXPANSIVITY,
+        property="non_expansivity",
         inputs={"eps": eps, "n_max": n_max, "nv": nv, "bound_n": n},
         constructed_point=(rest, flipper),
         iterations_used=n_max,
@@ -497,7 +480,7 @@ def continuity_report(x: PhasePoint, trace: OrbitTrace,
                     for img, inp in zip(image_d, input_d))
 
     return WitnessReport(
-        property=WitnessProperty.CONTINUITY,
+        property="continuity",
         inputs={
             "scales": list(trace.meta["scales"]),
             "skipped_scales": list(trace.meta["skipped_scales"]),

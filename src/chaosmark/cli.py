@@ -13,7 +13,7 @@ emitted with sorted keys and stable float formatting, so identical
 inputs produce byte-identical reports; every report embeds the full
 effective configuration.  Where randomness is needed the seed comes
 from --seed, falling back to the CHAOSMARK_SEED environment variable,
-then 0.
+then 0; a negative seed is a usage error.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ import numpy as np
 
 from . import fileio
 from .chaos_analysis import (
+    DEFAULT_TOLERANCE,
+    _require_tolerance,
     continuity_probe,
     continuity_report,
     divergence_trace,
@@ -59,12 +61,17 @@ _DEFAULT_SCALES = "0.1,0.01,0.001,0.0001,1e-05,1e-06"
 
 def _seed_of(args) -> int:
     if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("CHAOSMARK_SEED", "").strip()
-    try:
-        return int(raw) if raw else 0
-    except ValueError:
-        raise ValueError(f"CHAOSMARK_SEED must be an integer, got {raw!r}")
+        source, seed = "--seed", args.seed
+    else:
+        source = "CHAOSMARK_SEED"
+        raw = os.environ.get(source, "").strip()
+        try:
+            seed = int(raw) if raw else 0
+        except ValueError:
+            raise ValueError(f"CHAOSMARK_SEED must be an integer, got {raw!r}")
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _report(command: str, config: dict, **body) -> dict:
@@ -230,6 +237,7 @@ def _continuity(args, space, seed, points):
 
 
 def _scan(args, space, seed, points):
+    _require_tolerance(args.tolerance)
     x = next(points)
     value = empirical_sensitivity_scan(x, args.r, args.trials, args.n_max,
                                        seed, space)
@@ -239,6 +247,7 @@ def _scan(args, space, seed, points):
 
 
 def _trace(args, space, seed, points):
+    _require_tolerance(args.tolerance)
     x = next(points)
     if args.pair == "sensitivity":
         y = witness_sensitivity(x, args.r, space).constructed_point
@@ -314,7 +323,7 @@ def _add_analyze_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bound-n", type=float, default=10.0)
     p.add_argument("--seed", type=int, default=None,
                    help="randomization seed (default: $CHAOSMARK_SEED or 0)")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
 

@@ -116,12 +116,6 @@ class CarrierSet:
     def nv(self) -> int:
         return self.matrix.shape[1]
 
-    def __len__(self) -> int:
-        return self.nc
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.matrix[i]
-
 
 def as_message(bits, nc: int | None = None) -> np.ndarray:
     """Validate a bit sequence and return it as a read-only uint8 array."""

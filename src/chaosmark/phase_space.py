@@ -113,15 +113,6 @@ class Strategy:
                            tuple(as_vector(t, self.dim) for t in self.tail))
         object.__setattr__(self, "_zero", zeros_vector(self.dim))
 
-    # ---------- constructors ----------
-
-    @classmethod
-    def zero(cls, dim: int) -> Strategy:
-        """The all-zero sequence."""
-        return cls(dim=dim)
-
-    # ---------- sequence access ----------
-
     @property
     def period(self) -> int:
         """Length of the repeating block (1 for the zero tail)."""
@@ -137,41 +128,19 @@ class Strategy:
             return self.tail[(k - len(self.prefix)) % len(self.tail)]
         return self._zero
 
-    def is_zero_tail(self) -> bool:
-        return not self.tail
-
-    # ---------- re-representation ----------
-
-    def unroll(self, count: int) -> Strategy:
-        """Materialize ``count`` tail terms into the prefix.
-
-        Represents the same abstract sequence: term(k) is unchanged for
-        every k.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if count == 0:
-            return self
-        extra = tuple(self.term(len(self.prefix) + i) for i in range(count))
-        if self.tail:
-            rot = count % len(self.tail)
-            new_tail = self.tail[rot:] + self.tail[:rot]
-        else:
-            new_tail = ()
-        return Strategy(self.dim, self.prefix + extra, new_tail)
-
     def with_term(self, k: int, value) -> Strategy:
         """New strategy equal to this one except term k is ``value``.
 
-        A tail term is first unrolled into the prefix so the change
-        stays local to index k.
+        A tail index first moves the terms up to k into the prefix, and
+        rotates the tail to match, so the change stays local to k.
         """
-        base = self
-        if k >= len(base.prefix):
-            base = base.unroll(k - len(base.prefix) + 1)
-        new_prefix = list(base.prefix)
-        new_prefix[k] = as_vector(value, self.dim)
-        return Strategy(self.dim, tuple(new_prefix), base.tail)
+        prefix = [self.term(i) for i in range(max(len(self.prefix), k + 1))]
+        tail = self.tail
+        if tail:
+            rot = (len(prefix) - len(self.prefix)) % len(tail)
+            tail = tail[rot:] + tail[:rot]
+        prefix[k] = as_vector(value, self.dim)
+        return Strategy(self.dim, tuple(prefix), tail)
 
 
 def check_strategy_bounds(s: Strategy, bound_n: float,
@@ -195,11 +164,6 @@ def shift(s: Strategy) -> Strategy:
     if s.tail:
         return Strategy(s.dim, (), s.tail[1:] + s.tail[:1])
     return s
-
-
-def initial(s: Strategy) -> np.ndarray:
-    """The first sequence element."""
-    return s.term(0)
 
 
 @dataclass(frozen=True, eq=False)

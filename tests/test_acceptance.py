@@ -244,7 +244,7 @@ def test_criterion_7_metric_axioms_and_frozen_values(capsys):
             ok = False
             break
 
-    zero = Strategy.zero(2)
+    zero = Strategy(2)
     single = Strategy(2, [[BOUND, 0.0]])
     swing = Strategy(2, (), (np.full(2, BOUND), np.full(2, -BOUND)))
     space2 = SpaceConfig(nv=2, bound_n=BOUND)

@@ -13,7 +13,6 @@ from chaosmark import (
     SchemeConfig,
     SpaceConfig,
     Strategy,
-    WitnessProperty,
     ball_index,
     embed,
     generate_carriers,
@@ -24,7 +23,6 @@ from chaosmark import (
     divergence_trace,
     empirical_sensitivity_scan,
     expansivity_counterexample,
-    phase_point_from_dict,
     phase_point_to_dict,
     random_phase_point,
     witness_regularity,
@@ -37,7 +35,14 @@ SPACE3 = SpaceConfig(nv=3)
 
 
 def rest(nv):
-    return PhasePoint(Strategy.zero(nv), [0.0] * nv)
+    return PhasePoint(Strategy(nv), [0.0] * nv)
+
+
+def phase_point_from_dict(d):
+    """Read back what phase_point_to_dict wrote."""
+    strategy = d["strategy"]
+    return PhasePoint(Strategy(strategy["dim"], tuple(strategy["prefix"]),
+                               tuple(strategy["tail"]["block"])), d["media"])
 
 
 def bounded_random_point(rng, nv, media_scale=2.0, term_scale=0.5):
@@ -79,7 +84,7 @@ class TestSensitivity:
                          [0.0, 1.0, 0.0]])
         x = PhasePoint(s, [0.0, 0.0, 0.0])
         report = witness_sensitivity(x, 0.1, SPACE3)
-        assert report.property is WitnessProperty.SENSITIVITY
+        assert report.property == "sensitivity"
         assert report.inputs["k0"] == 1
         assert report.iterations_used == 3
         assert report.measured["ball_distance"] == 0.09
@@ -153,7 +158,7 @@ class TestStrongTransitivity:
         assert report.verdict
 
     def test_wide_media_gap_splits_corrections(self):
-        x_b = PhasePoint(Strategy.zero(1), [25.0])
+        x_b = PhasePoint(Strategy(1), [25.0])
         space1 = SpaceConfig(nv=1)
         report = witness_strong_transitivity(rest(1), 0.5, x_b, space1)
         assert report.inputs["split_components"] == 1
@@ -301,7 +306,7 @@ class TestContinuity:
 class TestTracesAndScan:
     def test_divergence_trace_shape(self):
         x = rest(2)
-        y = PhasePoint(Strategy.zero(2), [1.0, 0.0])
+        y = PhasePoint(Strategy(2), [1.0, 0.0])
         trace = divergence_trace(x, y, 5, SPACE2)
         assert len(trace.points) == 6
         assert trace.points[0][0] == 0
@@ -324,7 +329,7 @@ class TestTracesAndScan:
         carriers = generate_carriers(cfg)
         host = np.random.default_rng(55).normal(size=16)
         stego = embed(host, (0, 1, 1, 0), carriers, cfg, "ss")
-        point = PhasePoint(Strategy.zero(16), stego)
+        point = PhasePoint(Strategy(16), stego)
         best = empirical_sensitivity_scan(point, 0.1, 500, 20, 7,
                                           SpaceConfig(nv=16))
         assert best >= 4.9
@@ -360,9 +365,12 @@ class TestSerialization:
             continuity_report(rest(2),
                               continuity_probe(rest(2), [1e-1, 1e-2], SPACE2)),
         ]
+        assert [report.property for report in reports] == [
+            "sensitivity", "strong_transitivity", "regularity",
+            "non_expansivity", "continuity"]
         for report in reports:
             payload = json.loads(json.dumps(report.to_dict()))
-            assert payload["property"] == report.property.value
+            assert payload["property"] == report.property
             assert isinstance(payload["verdict"], bool)
 
     def test_trace_to_dict(self):

@@ -161,6 +161,38 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["sensitivity", "--r", "0.1"],
+        ["transitivity", "--r-a", "0.1"],
+        ["regularity", "--eps", "0.01"],
+        ["expansivity", "--eps", "0.5"],
+        ["continuity"],
+        ["scan", "--r", "0.1", "--trials", "2"],
+        ["trace"],
+    ])
+    def test_negative_seed_is_usage_error(self, argv, capsys):
+        assert main(["analyze", *argv, "--seed", "-1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: --seed must be a non-negative integer, got -1\n"
+
+    def test_negative_env_seed_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("CHAOSMARK_SEED", "-3")
+        assert main(["analyze", "expansivity", "--eps", "0.5"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == ("error: CHAOSMARK_SEED must be a non-negative integer, "
+                       "got -3\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--r", "0.1", "--trials", "2"],
+        ["trace"],
+    ])
+    @pytest.mark.parametrize("tolerance", ["nan", "-1"])
+    def test_bad_tolerance_is_usage_error(self, argv, tolerance, capsys):
+        assert main(["analyze", *argv, "--tolerance", tolerance]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: tolerance must be non-negative")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sensitivity", "--r", "0.1"],
         ["regularity", "--eps", "0.01"],
         ["scan", "--r", "0.1", "--trials", "2"],
         ["trace"],

@@ -17,7 +17,6 @@ from chaosmark import (
     d_inf,
     d_phase,
     d_strategy,
-    initial,
     iterate_g,
     shift,
 )
@@ -31,6 +30,13 @@ components = st.floats(min_value=-BOUND, max_value=BOUND,
                        allow_nan=False, allow_infinity=False, width=64)
 media_components = st.floats(min_value=-100.0, max_value=100.0,
                              allow_nan=False, allow_infinity=False, width=64)
+
+
+def unroll(s, count):
+    """The same sequence as s, with count tail terms moved into the prefix."""
+    extra = tuple(s.term(len(s.prefix) + i) for i in range(count))
+    rot = count % len(s.tail) if s.tail else 0
+    return Strategy(s.dim, s.prefix + extra, s.tail[rot:] + s.tail[:rot])
 
 
 def vectors(dim, elements=components):
@@ -75,7 +81,7 @@ class TestStrategy:
         assert s.term(1).tolist() == [3.0, 4.0]
         assert s.term(2).tolist() == [5.0, 6.0]
         assert s.term(3).tolist() == [3.0, 4.0]
-        z = Strategy.zero(2)
+        z = Strategy(2)
         assert z.term(7).tolist() == [0.0, 0.0]
 
     def test_shift_drops_prefix_head(self):
@@ -91,7 +97,7 @@ class TestStrategy:
         assert t.term(1).tolist() == [1.0, 1.0]
 
     def test_zero_strategy_is_shift_fixed_point(self):
-        z = Strategy.zero(3)
+        z = Strategy(3)
         assert shift(z) is z
 
     def test_shift_matches_term_reindexing(self):
@@ -105,7 +111,7 @@ class TestStrategy:
         s = Strategy(2, (np.array([9.0, 9.0]),), (np.array([1.0, 0.0]),
                                                   np.array([0.0, 1.0])))
         for count in range(5):
-            u = s.unroll(count)
+            u = unroll(s, count)
             assert len(u.prefix) == 1 + count
             for k in range(10):
                 assert u.term(k).tolist() == s.term(k).tolist()
@@ -116,6 +122,24 @@ class TestStrategy:
         assert t.term(3).tolist() == [7.0, 7.0]
         for k in [0, 1, 2, 4, 5]:
             assert t.term(k).tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("period", [2, 3, 4])
+    @pytest.mark.parametrize("prefix_len", [0, 2])
+    @pytest.mark.parametrize("k", [0, 1, 3, 5, 9, 14, 41])
+    def test_with_term_deep_in_a_periodic_tail(self, period, prefix_len, k):
+        rng = np.random.default_rng([period, prefix_len, k])
+        s = Strategy(2, tuple(rng.uniform(-9, 9, 2) for _ in range(prefix_len)),
+                     tuple(rng.uniform(-9, 9, 2) for _ in range(period)))
+        value = [10.0, -10.0]
+        t = s.with_term(k, value)
+        extra = max(0, k + 1 - prefix_len)
+        oracle = unroll(s, extra)
+        assert len(t.prefix) == prefix_len + extra
+        assert [u.tolist() for u in t.tail] == [
+            s.tail[(i + extra) % period].tolist() for i in range(period)]
+        for j in range(k + 3 * period + 2):
+            want = value if j == k else oracle.term(j).tolist()
+            assert t.term(j).tolist() == want
 
     def test_bounds_check(self):
         s = Strategy(2, [[11.0, 0.0]])
@@ -135,7 +159,7 @@ class TestMap:
         y = apply_g(x)
         assert y.media.tolist() == [11.0, 22.0]
         assert y.strategy.term(0).tolist() == [3.0, 4.0]
-        assert initial(x.strategy).tolist() == [1.0, 2.0]
+        assert x.strategy.term(0).tolist() == [1.0, 2.0]
 
     def test_iterate_matches_repeated_apply(self):
         s = Strategy(2, (np.array([1.0, 0.0]),), (np.array([0.0, 2.0]),))
@@ -148,14 +172,14 @@ class TestMap:
             stepped = apply_g(stepped)
 
     def test_iterate_zero_steps_is_identity(self):
-        x = PhasePoint(Strategy.zero(2), [1.0, 2.0])
+        x = PhasePoint(Strategy(2), [1.0, 2.0])
         assert iterate_g(x, 0) is x
         with pytest.raises(ValueError):
             iterate_g(x, -1)
 
     def test_point_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            PhasePoint(Strategy.zero(2), [1.0, 2.0, 3.0])
+            PhasePoint(Strategy(2), [1.0, 2.0, 3.0])
 
     @settings(max_examples=100, deadline=None)
     @given(points3(), st.integers(min_value=0, max_value=12))
@@ -171,7 +195,7 @@ class TestMap:
     @given(points3(), st.integers(min_value=0, max_value=4))
     def test_iteration_commutes_with_unrolling(self, x, count):
         """Re-representing the strategy never changes the orbit."""
-        alt = PhasePoint(x.strategy.unroll(count), x.media)
+        alt = PhasePoint(unroll(x.strategy, count), x.media)
         for n in range(4):
             a = iterate_g(x, n)
             b = iterate_g(alt, n)
@@ -189,20 +213,20 @@ class TestMetric:
         assert d_strategy(s, s, SPACE2) == 0.0
 
     def test_single_term_difference_scores_nine(self):
-        a = Strategy.zero(2)
+        a = Strategy(2)
         b = Strategy(2, [[10.0, 0.0]])
         assert d_strategy(a, b, SPACE2) == 9.0
 
     def test_alternating_full_swing_scores_ten(self):
-        a = Strategy.zero(2)
+        a = Strategy(2)
         b = Strategy(2, (), (np.full(2, 10.0), np.full(2, -10.0)))
         assert d_strategy(a, b, SPACE2) == 10.0
 
     def test_exact_agrees_with_truncated_series(self):
         cases = [
-            (Strategy.zero(2), Strategy.zero(2)),
-            (Strategy.zero(2), Strategy(2, [[10.0, 0.0]])),
-            (Strategy.zero(2),
+            (Strategy(2), Strategy(2)),
+            (Strategy(2), Strategy(2, [[10.0, 0.0]])),
+            (Strategy(2),
              Strategy(2, (), (np.full(2, 10.0), np.full(2, -10.0)))),
             (Strategy(2, (np.array([1.5, -2.0]),), (np.array([0.25, 3.0]),)),
              Strategy(2, (), (np.array([-1.0, 1.0]), np.array([2.0, 0.5])))),
@@ -217,18 +241,18 @@ class TestMetric:
     def test_distance_between_representations_is_zero(self):
         s = Strategy(2, (np.array([1.0, 1.0]),), (np.array([2.0, 2.0]),
                                                   np.array([3.0, 3.0])))
-        assert d_strategy(s, s.unroll(1), SPACE2) == 0.0
-        assert d_strategy(s, s.unroll(5), SPACE2) == 0.0
+        assert d_strategy(s, unroll(s, 1), SPACE2) == 0.0
+        assert d_strategy(s, unroll(s, 5), SPACE2) == 0.0
 
     def test_d_phase_media_only_difference(self):
-        s = Strategy.zero(2)
+        s = Strategy(2)
         x = PhasePoint(s, [0.0, 0.0])
         y = PhasePoint(s, [1.0, 0.0])
         assert d_phase(x, y, SPACE2) == 1.0
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
-            d_strategy(Strategy.zero(2), Strategy.zero(3), SPACE2)
+            d_strategy(Strategy(2), Strategy(3), SPACE2)
 
     @settings(max_examples=150, deadline=None)
     @given(points3(), points3())
