@@ -19,7 +19,7 @@ import numpy as np
 
 from .phase_space import as_vector
 
-SCHEMA = "chaosmark/2"
+SCHEMA = "chaosmark/3"
 
 
 class FormatError(ValueError):

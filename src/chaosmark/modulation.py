@@ -57,7 +57,7 @@ class SchemeConfig:
     lam            iss host-rejection factor in [0, 1]
     eta            nw distortion factor (positive)
     key            64-bit unsigned seed for carrier generation
-    orthonormalize Gram-Schmidt the carriers (requires nc <= nv)
+    orthonormalize QR-orthonormalize the carriers (requires nc <= nv)
     bound_n        strategy component bound N of the ambient phase space
     """
 
@@ -136,21 +136,18 @@ def generate_carriers(cfg: SchemeConfig) -> CarrierSet:
 
     Components come from a counter-based keyed generator, so the same
     (key, nv, nc, orthonormalize) always reproduces the same carriers.
-    With orthonormalize set the rows are Gram-Schmidt orthonormalized
-    (two passes, for numerical orthogonality well under 1e-9).
+    With orthonormalize set the rows are the QR basis of the draw, signed
+    so that R has a positive diagonal: the Gram-Schmidt basis of the
+    rows, up to rounding.
     """
     rng = np.random.Generator(np.random.Philox(key=cfg.key))
     mat = rng.standard_normal((cfg.nc, cfg.nv))
     if cfg.orthonormalize:
-        for i in range(cfg.nc):
-            v = mat[i]
-            for _ in range(2):
-                for j in range(i):
-                    v = v - (v @ mat[j]) * mat[j]
-            norm = float(np.linalg.norm(v))
-            if norm < 1e-12:
-                raise CarrierError("drawn carriers are not linearly independent")
-            mat[i] = v / norm
+        q, r = np.linalg.qr(mat.T)
+        diag = np.diag(r)
+        if np.any(np.abs(diag) < 1e-12):
+            raise CarrierError("drawn carriers are not linearly independent")
+        mat = (q * np.sign(diag)).T
     return CarrierSet(mat)
 
 

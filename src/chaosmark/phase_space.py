@@ -134,6 +134,8 @@ class Strategy:
         A tail index first moves the terms up to k into the prefix, and
         rotates the tail to match, so the change stays local to k.
         """
+        if k < 0:
+            raise IndexError(f"term index must be non-negative, got {k}")
         prefix = [self.term(i) for i in range(max(len(self.prefix), k + 1))]
         tail = self.tail
         if tail:

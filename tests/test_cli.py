@@ -51,7 +51,7 @@ class TestEmbedDecode:
               "--message", "1011", "--gamma", "6.0", "--key", "9",
               "--out", str(stego)])
         meta = json.loads((tmp_path / "stego.json.meta.json").read_text())
-        assert meta["schema"] == "chaosmark/2"
+        assert meta["schema"] == "chaosmark/3"
         assert meta["config"]["key_fingerprint"] == fileio.key_fingerprint(9)
         assert "key" not in meta["config"]
         assert meta["distortion_inf"] > 0.0
@@ -343,7 +343,7 @@ class TestAnalyze:
                      "--format", "csv"])
         assert code == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "# chaosmark/2"
+        assert lines[0] == "# chaosmark/3"
         assert "step,d_phase,d_inf_media" in lines
         assert len([ln for ln in lines if not ln.startswith("#")]) == 6
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carrier_oracle import gram_schmidt_carriers
 from chaosmark import (
     BoundViolation,
     CarrierError,
@@ -18,10 +19,16 @@ from chaosmark import (
     decode,
     embed,
     generate_carriers,
+    modulation,
     watermark_strategy,
 )
 
 EYE2 = CarrierSet(np.eye(2))
+
+# Keys and (nv, nc) sizes at which the carriers are checked against the
+# Gram-Schmidt oracle and for orthonormality.
+ORACLE_KEYS = (0, 1, 2**64 - 1)
+ORACLE_SIZES = [(1, 1), (8, 8), (64, 16), (257, 48), (1024, 128)]
 
 
 def ss_watermark(m, c, conf):
@@ -46,9 +53,37 @@ class TestCarriers:
         assert len(seen) == 100
 
     def test_orthonormality(self):
-        c = generate_carriers(cfg(nv=64, nc=16, key=3))
-        gram = c.matrix @ c.matrix.T
-        assert np.max(np.abs(gram - np.eye(16))) < 1e-9
+        for key in (3, *ORACLE_KEYS):
+            for nv, nc in ORACLE_SIZES:
+                c = generate_carriers(cfg(nv=nv, nc=nc, key=key))
+                gram = c.matrix @ c.matrix.T
+                assert np.max(np.abs(gram - np.eye(nc))) < 1e-9, (key, nv, nc)
+
+    @pytest.mark.parametrize("key", ORACLE_KEYS)
+    @pytest.mark.parametrize("nv,nc", ORACLE_SIZES)
+    def test_matches_gram_schmidt_oracle(self, key, nv, nc):
+        conf = cfg(nv=nv, nc=nc, key=key)
+        got = generate_carriers(conf).matrix
+        want = gram_schmidt_carriers(conf).matrix
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_dependent_draw_is_rejected(self, monkeypatch):
+        real = np.random.Generator
+
+        class RepeatedRow:
+            """The keyed draw with its last row replaced by its first."""
+
+            def __init__(self, bit_generator):
+                self._rng = real(bit_generator)
+
+            def standard_normal(self, shape):
+                mat = self._rng.standard_normal(shape)
+                mat[-1] = mat[0]
+                return mat
+
+        monkeypatch.setattr(modulation.np.random, "Generator", RepeatedRow)
+        with pytest.raises(CarrierError, match="not linearly independent"):
+            generate_carriers(cfg(nv=8, nc=3, key=5))
 
     def test_orthonormalize_needs_enough_dimensions(self):
         with pytest.raises(CarrierError):

@@ -141,6 +141,17 @@ class TestStrategy:
             want = value if j == k else oracle.term(j).tolist()
             assert t.term(j).tolist() == want
 
+    @pytest.mark.parametrize("s", [
+        Strategy(1, ([1.0], [2.0])),
+        Strategy(1, (), ([3.0],)),
+        Strategy(1),
+    ], ids=["prefix-only", "tail-only", "zero"])
+    @pytest.mark.parametrize("k", [-1, -2])
+    def test_with_term_rejects_negative_index(self, s, k):
+        with pytest.raises(IndexError,
+                           match=f"term index must be non-negative, got {k}$"):
+            s.with_term(k, [9.0])
+
     def test_bounds_check(self):
         s = Strategy(2, [[11.0, 0.0]])
         with pytest.raises(BoundViolation):
