@@ -38,14 +38,25 @@ from .phase_space import (
     SpaceConfig,
     Strategy,
     apply_g,
+    as_vector,
     basis_vector,
     d_inf,
     d_phase,
     iterate_g,
     zeros_vector,
 )
+from .tm_encoding import BudgetExceeded
 
 DEFAULT_TOLERANCE = 1e-9
+
+# Most correction terms one transitivity splice may use; the count is
+# the sum over media components of max(1, ceil(|gap| / N)), so it is at
+# least nv.  Building and walking a splice is linear in the count, but
+# the exact ball distance sums one rational term per correction and
+# grows faster.  On a shared 2-core x86 VM, 10^4 terms at nv 10 take
+# 0.4 s to walk, and a whole witness near the budget about 14 s, nearly
+# all of it in d_strategy.
+MAX_CORRECTION_TERMS = 10**4
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,24 +231,27 @@ def _transitivity_candidate(x_a: PhasePoint, x_b: PhasePoint, depth: int,
     closing the gap between the drifted media and x_b's media, then
     continues with x_b's strategy verbatim.  Corrections larger than
     the component bound are split evenly over enough consecutive terms
-    to stay inside [-N, N].
+    to stay inside [-N, N].  The number of corrections is counted before
+    any is built, and more than MAX_CORRECTION_TERMS raise BudgetExceeded.
     """
     nv = x_a.dim
-    lead = tuple(x_a.strategy.term(k) for k in range(depth))
     drifted = iterate_g(x_a, depth)
+    gaps = x_b.media - drifted.media
+    pieces = np.maximum(1.0, np.ceil(np.abs(gaps) / bound))
+    count = float(np.sum(pieces))
+    if count > MAX_CORRECTION_TERMS:
+        raise BudgetExceeded(
+            f"the transitivity splice needs {count:.15g} correction terms, "
+            f"more than MAX_CORRECTION_TERMS={MAX_CORRECTION_TERMS}")
     corrections: list[np.ndarray] = []
-    oversize = 0
-    for k in range(nv):
-        gap = float(x_b.media[k]) - float(drifted.media[k])
-        pieces = max(1, math.ceil(abs(gap) / bound))
-        if pieces > 1:
-            oversize += 1
-        for _ in range(pieces):
-            corrections.append(basis_vector(nv, k, gap / pieces))
+    for k, (gap, n) in enumerate(zip(gaps.tolist(), pieces.tolist())):
+        corrections += [basis_vector(nv, k, gap / n)] * int(n)
+    lead = tuple(x_a.strategy.term(k) for k in range(depth))
     target = x_b.strategy
     prefix = lead + tuple(corrections) + target.prefix
-    candidate = PhasePoint(Strategy(nv, prefix, target.tail), x_a.media)
-    return candidate, depth + len(corrections), len(corrections), oversize
+    candidate = PhasePoint(target._trusted(prefix, target.tail), x_a.media)
+    return (candidate, depth + len(corrections), len(corrections),
+            int(np.count_nonzero(pieces > 1)))
 
 
 def witness_strong_transitivity(x_a: PhasePoint, r_a: float, x_b: PhasePoint,
@@ -250,7 +264,9 @@ def witness_strong_transitivity(x_a: PhasePoint, r_a: float, x_b: PhasePoint,
     (rarely more than once) until the candidate measurably lies inside
     the ball; the splice itself guarantees the exact hit regardless of
     depth.  iterations_used reports the full step count, including any
-    correction terms split to respect the component bound.
+    correction terms split to respect the component bound.  A splice
+    that needs more than MAX_CORRECTION_TERMS correction terms raises
+    BudgetExceeded.
     """
     tolerance = _require_tolerance(tolerance)
     if x_a.dim != x_b.dim:
@@ -316,12 +332,12 @@ def witness_regularity(x: PhasePoint, eps: float, space: SpaceConfig,
     while not 10.0 ** (-n0) < eps:
         n0 += 1
 
-    plus = np.full(nv, n)
-    minus = np.full(nv, -n)
+    plus = as_vector(np.full(nv, n))
+    minus = as_vector(np.full(nv, -n))
     while True:
         lead = tuple(x.strategy.term(k) for k in range(n0 + 1))
         tail = (plus, minus) if (n0 + 1) % 2 == 0 else (minus, plus)
-        candidate = PhasePoint(Strategy(nv, lead, tail), x.media)
+        candidate = PhasePoint(x.strategy._trusted(lead, tail), x.media)
         distance = d_phase(candidate, x, space)
         if distance < eps:
             break

@@ -98,6 +98,10 @@ class Strategy:
     repeating block that follows; an empty tail means the sequence is
     zero from the end of the prefix on.  Instances are immutable; all
     editing helpers return new strategies.
+
+    The constructor copies and validates every term into a read-only
+    float64 vector.  Strategies derived from one (``shift``,
+    ``with_term``) share its term arrays instead of copying them.
     """
 
     dim: int
@@ -112,6 +116,18 @@ class Strategy:
         object.__setattr__(self, "tail",
                            tuple(as_vector(t, self.dim) for t in self.tail))
         object.__setattr__(self, "_zero", zeros_vector(self.dim))
+
+    def _trusted(self, prefix: tuple, tail: tuple) -> Strategy:
+        """Strategy of this dimension over terms that are already valid.
+
+        Every term must be a read-only finite float64 vector of length
+        dim, such as a term of a Strategy or a ``basis_vector``.  The
+        terms and the zero vector are shared, neither copied nor checked.
+        """
+        out = object.__new__(Strategy)
+        out.__dict__.update(dim=self.dim, prefix=prefix, tail=tail,
+                            _zero=self._zero)
+        return out
 
     @property
     def period(self) -> int:
@@ -132,7 +148,8 @@ class Strategy:
         """New strategy equal to this one except term k is ``value``.
 
         A tail index first moves the terms up to k into the prefix, and
-        rotates the tail to match, so the change stays local to k.
+        rotates the tail to match, so the change stays local to k.  Only
+        ``value`` is validated; the other terms are shared.
         """
         if k < 0:
             raise IndexError(f"term index must be non-negative, got {k}")
@@ -142,7 +159,7 @@ class Strategy:
             rot = (len(prefix) - len(self.prefix)) % len(tail)
             tail = tail[rot:] + tail[:rot]
         prefix[k] = as_vector(value, self.dim)
-        return Strategy(self.dim, tuple(prefix), tail)
+        return self._trusted(tuple(prefix), tail)
 
 
 def check_strategy_bounds(s: Strategy, bound_n: float,
@@ -159,12 +176,13 @@ def shift(s: Strategy) -> Strategy:
     """Drop the first sequence element.
 
     With an empty prefix the periodic tail rotates by one; the zero
-    strategy is a fixed point.
+    strategy is a fixed point.  The result shares the terms of s, so a
+    step costs no copy or validation of the terms that remain.
     """
     if s.prefix:
-        return Strategy(s.dim, s.prefix[1:], s.tail)
+        return s._trusted(s.prefix[1:], s.tail)
     if s.tail:
-        return Strategy(s.dim, (), s.tail[1:] + s.tail[:1])
+        return s._trusted((), s.tail[1:] + s.tail[:1])
     return s
 
 
@@ -190,7 +208,9 @@ class PhasePoint:
 def apply_g(x: PhasePoint) -> PhasePoint:
     """One step of the embedding map: absorb the head strategy term.
 
-    Returns (shift(S), S_0 + E) for x = (S, E).
+    Returns (shift(S), S_0 + E) for x = (S, E).  The new point shares
+    the terms of S; only the new media vector is validated, so a sum
+    that overflows to +-inf raises ValueError.
     """
     media = x.strategy.term(0) + x.media
     return PhasePoint(shift(x.strategy), media)

@@ -6,14 +6,18 @@ import math
 import numpy as np
 import pytest
 
+import shift_oracle
 from chaosmark import (
     BoundViolation,
+    BudgetExceeded,
     DimensionMismatch,
     PhasePoint,
     SchemeConfig,
     SpaceConfig,
     Strategy,
+    apply_g,
     ball_index,
+    chaos_analysis,
     embed,
     generate_carriers,
     check_strategy_bounds,
@@ -171,6 +175,33 @@ class TestStrongTransitivity:
         with pytest.raises(DimensionMismatch):
             witness_strong_transitivity(rest(2), 0.1, rest(3), SPACE2)
 
+    def test_correction_budget_is_checked_before_building(self, monkeypatch):
+        # gaps 25 and 0 at N = 10 need 3 + 1 correction terms
+        x_b = PhasePoint(Strategy(2), [25.0, 0.0])
+        monkeypatch.setattr(chaos_analysis, "MAX_CORRECTION_TERMS", 4)
+        report = witness_strong_transitivity(rest(2), 0.5, x_b, SPACE2)
+        assert report.inputs["correction_terms"] == 4
+
+        def unbuilt(*args):
+            raise AssertionError("a correction term was built")
+
+        monkeypatch.setattr(chaos_analysis, "basis_vector", unbuilt)
+        monkeypatch.setattr(chaos_analysis, "MAX_CORRECTION_TERMS", 3)
+        with pytest.raises(BudgetExceeded,
+                           match=r"needs 4 correction terms.*MAX_CORRECTION_TERMS=3"):
+            witness_strong_transitivity(rest(2), 0.5, x_b, SPACE2)
+
+    @pytest.mark.parametrize("media_a,media_b", [
+        ([0.0, 0.0], [1e300, 0.0]),
+        ([0.0, -1.7e308], [0.0, 1.7e308]),
+    ], ids=["1e300", "overflowing-gap"])
+    def test_far_target_exceeds_budget(self, media_a, media_b):
+        x_a = PhasePoint(Strategy(2), media_a)
+        x_b = PhasePoint(Strategy(2), media_b)
+        with np.errstate(over="ignore"):
+            with pytest.raises(BudgetExceeded, match="MAX_CORRECTION_TERMS=10000"):
+                witness_strong_transitivity(x_a, 0.01, x_b, SPACE2)
+
     def test_randomized_in_bound_triples(self):
         rng = np.random.default_rng(11)
         for trial in range(50):
@@ -224,6 +255,29 @@ class TestRegularity:
             witness_regularity(rest(2), 0.0, SPACE2)
         with pytest.raises(ValueError):
             witness_regularity(rest(2), float("inf"), SPACE2)
+
+
+class TestWitnessOrbits:
+    """Witness points and their orbits match the validating map exactly."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_witness_orbits_match_validating_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        x = random_phase_point(rng, SPACE3)
+        y = random_phase_point(rng, SPACE3)
+        r = 10.0 ** -float(rng.integers(1, 5))
+        reports = [witness_sensitivity(x, r, SPACE3),
+                   witness_strong_transitivity(x, r, y, SPACE3),
+                   witness_regularity(x, r, SPACE3)]
+        for report in reports:
+            point = report.constructed_point
+            shift_oracle.assert_valid_terms(point.strategy)
+            shared, validated = point, point
+            for _ in range(report.iterations_used + 4):
+                shared = apply_g(shared)
+                validated = shift_oracle.apply_g(validated)
+                assert shift_oracle.same_point(shared, validated)
+                shift_oracle.assert_valid_terms(shared.strategy)
 
 
 class TestNonExpansivity:

@@ -173,6 +173,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: --seed must be a non-negative integer, got -1\n"
 
+    def test_transitivity_over_budget_is_usage_error(self, capsys):
+        # every one of the 10001 media components needs a correction term
+        assert main(["analyze", "transitivity", "--nv", "10001",
+                     "--r-a", "0.01"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: the transitivity splice needs ")
+        assert err.endswith("more than MAX_CORRECTION_TERMS=10000\n")
+
     def test_negative_env_seed_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("CHAOSMARK_SEED", "-3")
         assert main(["analyze", "expansivity", "--eps", "0.5"]) == EXIT_USAGE

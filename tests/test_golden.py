@@ -2,8 +2,9 @@
 
 The fixtures under tests/golden were recorded from the CLI and pin its
 output exactly; any change that alters a report or a stego vector
-fails here.  A change that alters them on purpose bumps fileio.SCHEMA
-and records the fixtures again with
+fails here, and each stego fixture must decode to its recorded bits.
+A change that alters them on purpose bumps fileio.SCHEMA and records
+the fixtures again with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -35,6 +36,10 @@ ANALYZE_CASES = {
     "trace_random": ["--pair", "random"],
 }
 SCHEMES = ("ss", "iss", "nw")
+# What each stego fixture decodes to.  Plain ss at the CLI's default
+# gamma 1 loses two bits of MESSAGE to host interference, so its fixture
+# pins that failed round trip rather than the message.
+DECODED = {"ss": "1011001111000011", "iss": MESSAGE, "nw": MESSAGE}
 
 
 def analyze_report(name: str) -> str:
@@ -64,6 +69,16 @@ def test_default_analyze_report(name):
 def test_stego_vector(scheme, tmp_path):
     expected = (GOLDEN / f"stego_{scheme}.json").read_bytes()
     assert stego_vector(scheme, tmp_path / "stego.json") == expected
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_stego_fixture_decodes(scheme):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["decode", "--scheme", scheme,
+                     "--stego", str(GOLDEN / f"stego_{scheme}.json"),
+                     "--key", KEY, "--nc", str(len(MESSAGE))]) == 0
+    assert out.getvalue() == DECODED[scheme] + "\n"
 
 
 def record() -> None:

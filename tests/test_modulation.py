@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shift_oracle
 from carrier_oracle import gram_schmidt_carriers
 from chaosmark import (
     BoundViolation,
@@ -18,8 +19,10 @@ from chaosmark import (
     as_message,
     decode,
     embed,
+    PhasePoint,
     generate_carriers,
     modulation,
+    phase_space,
     watermark_strategy,
 )
 
@@ -283,6 +286,40 @@ class TestDecode:
             decode([1.0, 1.0], EYE2, cfg(), "css")
         with pytest.raises(ValueError):
             watermark_strategy("css", [0.0, 0.0], [0, 0], EYE2, cfg())
+
+
+class TestOrbitCost:
+    @pytest.mark.parametrize("scheme", ["ss", "iss", "nw"])
+    @pytest.mark.parametrize("nv,nc", [(8, 4), (64, 16), (257, 48), (1024, 32)])
+    def test_stego_matches_validating_oracle(self, scheme, nv, nc):
+        rng = np.random.default_rng(nv + nc)
+        for key in (0, 5):
+            conf = SchemeConfig(nv=nv, nc=nc, key=key)
+            c = generate_carriers(conf)
+            host = rng.uniform(-2.0, 2.0, nv)
+            m = rng.integers(0, 2, size=nc)
+            start = PhasePoint(watermark_strategy(scheme, host, m, c, conf), host)
+            expected = shift_oracle.iterate_g(start, nc).media
+            assert embed(host, m, c, conf, scheme).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("nc", [256, 512])
+    def test_embed_validates_linearly_many_vectors(self, nc, monkeypatch):
+        """Each map step validates its new media vector and no term again."""
+        conf = SchemeConfig(nv=nc, nc=nc, key=1)
+        c = generate_carriers(conf)
+        host = np.random.default_rng(nc).uniform(-2.0, 2.0, nc)
+        m = np.random.default_rng(nc + 1).integers(0, 2, size=nc)
+        calls = [0]
+        validate = phase_space.as_vector
+
+        def counting(values, dim=None):
+            calls[0] += 1
+            return validate(values, dim)
+
+        monkeypatch.setattr(phase_space, "as_vector", counting)
+        monkeypatch.setattr(modulation, "as_vector", counting)
+        embed(host, m, c, conf, "iss")
+        assert calls[0] <= 2 * nc + 8
 
 
 class TestConfigValidation:

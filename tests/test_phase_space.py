@@ -20,6 +20,7 @@ from chaosmark import (
     iterate_g,
     shift,
 )
+import shift_oracle
 from series_oracle import d_strategy_truncated
 
 BOUND = 10.0
@@ -107,6 +108,38 @@ class TestStrategy:
         for k in range(8):
             assert t.term(k).tolist() == s.term(k + 1).tolist()
 
+    def test_shift_shares_terms(self):
+        s = Strategy(2, ([1.0, 2.0], [3.0, 4.0]), ([5.0, 6.0], [7.0, 8.0]))
+        t = shift(s)
+        assert t.prefix[0] is s.prefix[1]
+        assert all(a is b for a, b in zip(t.tail, s.tail))
+        u = shift(shift(t))
+        assert u.tail[0] is s.tail[1] and u.tail[1] is s.tail[0]
+
+    @pytest.mark.parametrize("s", [
+        Strategy(2, ([1.0, 2.0], [3.0, 4.0]), ([5.0, 6.0],)),
+        Strategy(2, (), ([5.0, 6.0], [7.0, 8.0])),
+        Strategy(2, ([1.0, 2.0],)),
+    ], ids=["prefix-and-tail", "tail-only", "prefix-then-zero"])
+    def test_shifted_and_edited_terms_stay_readonly(self, s):
+        derived = [s]
+        for _ in range(4):
+            derived.append(shift(derived[-1]))
+        derived.append(s.with_term(3, [9.0, 9.0]))
+        for t in derived:
+            shift_oracle.assert_valid_terms(t)
+            for term in t.prefix + t.tail:
+                with pytest.raises(ValueError):
+                    term[0] = 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(points3())
+    def test_orbit_matches_validating_oracle(self, x):
+        shared, validated = x, x
+        for _ in range(8):
+            shared, validated = apply_g(shared), shift_oracle.apply_g(validated)
+            assert shift_oracle.same_point(shared, validated)
+
     def test_unroll_preserves_terms(self):
         s = Strategy(2, (np.array([9.0, 9.0]),), (np.array([1.0, 0.0]),
                                                   np.array([0.0, 1.0])))
@@ -187,6 +220,14 @@ class TestMap:
         assert iterate_g(x, 0) is x
         with pytest.raises(ValueError):
             iterate_g(x, -1)
+
+    def test_apply_g_rejects_media_overflow(self):
+        x = PhasePoint(Strategy(1, ([1e308],)), [1.7e308])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                apply_g(x)
+            with pytest.raises(ValueError, match="finite"):
+                iterate_g(x, 1)
 
     def test_point_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
