@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Embed and decode a random message with each scheme, reporting distortion."""
+"""Embed and decode a random message with each scheme, reporting distortion.
+
+Exits 1 if any scheme decodes a bit wrong.
+"""
 
 import argparse
 
@@ -8,7 +11,7 @@ import numpy as np
 from chaosmark import SchemeConfig, decode, embed, generate_carriers
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--nv", type=int, default=64)
     parser.add_argument("--nc", type=int, default=16)
@@ -31,15 +34,18 @@ def main() -> None:
     ]
 
     print(f"message: {''.join(str(b) for b in bits)}")
+    total_errors = 0
     for scheme, cfg in configs:
         stego = embed(host, bits, carriers, cfg, scheme)
         result = decode(stego, carriers, cfg, scheme)
         errors = int(np.sum(result.bits != bits))
+        total_errors += errors
         distortion = float(np.max(np.abs(stego - host)))
         print(f"{scheme:4s} bit errors: {errors}  "
               f"distortion_inf: {distortion:.4f}  "
               f"decoded: {''.join(str(b) for b in result.bits)}")
+    return 1 if total_errors else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

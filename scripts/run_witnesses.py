@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Run every constructive witness once and print a one-line summary each."""
+"""Run every constructive witness once and print a one-line summary each.
+
+Exits 1 if any witness verdict fails.
+"""
 
 import argparse
 
@@ -17,7 +20,7 @@ from chaosmark import (
 )
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--nv", type=int, default=8)
     parser.add_argument("--bound-n", type=float, default=10.0)
@@ -41,7 +44,8 @@ def main() -> None:
         status = "ok" if report.verdict else "FAILED"
         print(f"{report.property:20s} {status:6s} "
               f"iterations={report.iterations_used:<4d} {measured}")
+    return 0 if all(report.verdict for report in reports) else 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -12,7 +12,8 @@ Covered properties:
 * sensitivity:           a point inside any ball around x whose orbit
                          separates from x's by at least N/2
 * strong transitivity:   a point inside any ball around x_a whose orbit
-                         reaches exactly x_b
+                         reaches x_b: its strategy exactly, its media
+                         within the float64 rounding of the corrections
 * regularity:            an eventually periodic point within eps of x
 * non-expansivity:       a pair whose orbits never separate past a
                          fixed bound, however long they run
@@ -258,15 +259,18 @@ def witness_strong_transitivity(x_a: PhasePoint, r_a: float, x_b: PhasePoint,
                                 space: SpaceConfig,
                                 tolerance: float = DEFAULT_TOLERANCE,
                                 ) -> WitnessReport:
-    """Exhibit strong transitivity: hit x_b exactly from inside B(x_a, r_a).
+    """Exhibit strong transitivity: reach x_b from inside B(x_a, r_a).
 
     The matching depth starts at the decade index of r_a and deepens
     (rarely more than once) until the candidate measurably lies inside
-    the ball; the splice itself guarantees the exact hit regardless of
-    depth.  iterations_used reports the full step count, including any
-    correction terms split to respect the component bound.  A splice
-    that needs more than MAX_CORRECTION_TERMS correction terms raises
-    BudgetExceeded.
+    the ball; the splice itself steers to x_b regardless of depth.  The
+    orbit reaches x_b's strategy exactly, but its media only within the
+    float64 rounding of the correction sums.  That grows with the number
+    of terms a wide gap is split into: 3001 pieces of a gap of 30000.7
+    land 1.2e-9 off, over DEFAULT_TOLERANCE.  iterations_used reports
+    the full step count, including any correction terms split to respect
+    the component bound.  A splice that needs more than
+    MAX_CORRECTION_TERMS correction terms raises BudgetExceeded.
     """
     tolerance = _require_tolerance(tolerance)
     if x_a.dim != x_b.dim:
@@ -321,6 +325,10 @@ def witness_regularity(x: PhasePoint, eps: float, space: SpaceConfig,
     and then alternates full +N / -N blocks, signed by the parity of
     the absolute term index.  The alternating tail sums to zero over
     one period, which is the cancellation the construction relies on.
+
+    With every term of x in [-N, N], each termwise distance past n0 is
+    at most 2N, so the first candidate lies within 2*10^-n0 of x and the
+    next one within 2*10^-(n0+1) < eps: the loop deepens at most once.
     """
     tolerance = _require_tolerance(tolerance)
     eps = float(eps)

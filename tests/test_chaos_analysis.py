@@ -8,6 +8,7 @@ import pytest
 
 import shift_oracle
 from chaosmark import (
+    DEFAULT_TOLERANCE,
     BoundViolation,
     BudgetExceeded,
     DimensionMismatch,
@@ -21,9 +22,11 @@ from chaosmark import (
     embed,
     generate_carriers,
     check_strategy_bounds,
+    iterate_g,
     continuity_probe,
     continuity_report,
     d_phase,
+    d_strategy,
     divergence_trace,
     empirical_sensitivity_scan,
     expansivity_counterexample,
@@ -162,14 +165,29 @@ class TestStrongTransitivity:
         assert report.verdict
 
     def test_wide_media_gap_splits_corrections(self):
-        x_b = PhasePoint(Strategy(1), [25.0])
-        space1 = SpaceConfig(nv=1)
-        report = witness_strong_transitivity(rest(1), 0.5, x_b, space1)
-        assert report.inputs["split_components"] == 1
-        assert report.inputs["correction_terms"] == 3
-        assert report.measured["final_distance"] <= 1e-9
-        check_strategy_bounds(report.constructed_point.strategy, 10.0)
-        assert report.verdict
+        # n equal pieces of a gap sum to within about n ulps of it, so a
+        # far enough target lands outside DEFAULT_TOLERANCE: 3001 pieces
+        # of 30000.7 miss by 1.2e-9 and the verdict fails.
+        rng = np.random.default_rng(1)
+        x_a10 = random_phase_point(rng, SpaceConfig(nv=10))
+        far10 = PhasePoint(Strategy(10), rng.uniform(2990.0, 3000.0, 10))
+        cases = [  # (x_a, x_b, correction terms, split components, verdict)
+            (rest(1), PhasePoint(Strategy(1), [25.0]), 3, 1, True),
+            (x_a10, far10, 3001, 10, True),
+            (rest(1), PhasePoint(Strategy(1), [30000.7]), 3001, 1, False),
+        ]
+        for x_a, x_b, terms, split, verdict in cases:
+            space = SpaceConfig(nv=x_a.dim)
+            report = witness_strong_transitivity(x_a, 0.5, x_b, space)
+            assert report.inputs["split_components"] == split
+            assert report.inputs["correction_terms"] == terms
+            final = iterate_g(report.constructed_point, report.iterations_used)
+            assert d_strategy(final.strategy, x_b.strategy, space) == 0.0
+            media_error = report.measured["final_distance"]
+            assert media_error <= terms * np.spacing(np.max(np.abs(x_b.media)))
+            assert (media_error <= DEFAULT_TOLERANCE) is verdict
+            assert report.verdict is verdict
+            check_strategy_bounds(report.constructed_point.strategy, 10.0)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -249,6 +267,22 @@ class TestRegularity:
             assert report.measured["distance"] < eps
             assert report.measured["tail_period_sum"] == 0.0
             assert report.verdict
+
+    def test_deepens_at_most_once(self):
+        # Terms in [-N, N] put the first candidate within 2*10^-n0 of x.
+        rng = np.random.default_rng(7)
+        deepened = 0
+        for space in (SPACE3, SpaceConfig(nv=2, bound_n=1.0)):
+            for k in range(1, 13):
+                for m in (1.0, 1.5, 1.999, 3.7, 9.99):
+                    eps = m * 10.0 ** -k
+                    first = next(n for n in range(400) if 10.0 ** -n < eps)
+                    for _ in range(4):
+                        x = random_phase_point(rng, space)
+                        n0 = witness_regularity(x, eps, space).inputs["n0"]
+                        assert first <= n0 <= first + 1
+                        deepened += n0 > first
+        assert deepened
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):

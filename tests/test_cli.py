@@ -414,6 +414,15 @@ class TestTm:
         assert "MAX_TAPE_CELLS=20" in err
         assert "Traceback" not in err
 
+    def test_step_budget_is_usage_error(self, tmp_path, capsys):
+        machine = tmp_path / "inc.tm"
+        machine.write_text(MACHINE_TEXT)
+        assert main(["tm", "--machine", str(machine), "--tape", "11",
+                     "--max-steps", str(10**7 + 1)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "max_steps 10000001 exceeds MAX_TM_STEPS=10000000" in err
+        assert "Traceback" not in err
+
     def test_head_far_from_the_tape_is_usage_error(self, tmp_path, capsys):
         machine = tmp_path / "inc.tm"
         machine.write_text(MACHINE_TEXT)

@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 
 from chaosmark import (
-    AlreadyHalted,
     BudgetExceeded,
     MachineParseError,
     TmConfiguration,
     TuringMachine,
-    UndefinedTransition,
     initial_configuration,
     parse_machine,
     tape_window,
     tm_run,
-    tm_step,
 )
 from chaosmark import tm_encoding
 
@@ -132,7 +129,7 @@ class TestRuns:
         assert result.config.state == "accept"
         assert result.config.head == 3
         assert dict(result.config.cells) == {0: "1", 1: "1", 2: "1"}
-        assert tape_window(result.config, "#", 0, 2) == "111"
+        assert tape_window(result.config, "#") == "111#"
 
     def test_step_budget_stops_without_halting(self):
         config = initial_configuration(UNARY_INCREMENT, "11")
@@ -150,6 +147,14 @@ class TestRuns:
         assert result.config == config
         with pytest.raises(ValueError):
             tm_run(UNARY_INCREMENT, config, -1)
+
+    def test_one_step_leaves_the_source_unchanged(self):
+        config = initial_configuration(UNARY_INCREMENT, "1")
+        after = tm_run(UNARY_INCREMENT, config, 1).config
+        assert dict(config.cells) == {0: "1"}
+        assert after is not config
+        with pytest.raises(TypeError):
+            config.cells[0] = "#"
 
     def test_runs_compose(self):
         config = initial_configuration(RIGHT_MOVER, "")
@@ -181,7 +186,7 @@ class TestRuns:
         config = TmConfiguration(cells, 0, "scan")
         result = tm_run(UNARY_INCREMENT, config, 100)
         assert result.config.cells[50] == "1"
-        assert result.config.written_range() == (0, 50)
+        assert (min(result.config.cells), max(result.config.cells)) == (0, 50)
 
     def test_left_moves_reach_negative_cells(self):
         machine = TuringMachine(
@@ -235,13 +240,11 @@ class TestAgainstReference:
         for machine, start, max_steps in random_runs(32, 200):
             result = tm_run(machine, start, max_steps)
             config, steps = start, 0
-            while steps < max_steps and config.state not in machine.halting_states:
-                try:
-                    config = tm_step(machine, config)
-                except UndefinedTransition:
-                    break
-                steps += 1
-            assert steps == result.steps
+            reason = tm_run(machine, start, 0).reason
+            while steps < max_steps and reason == "step_limit":
+                one = tm_run(machine, config, 1)
+                config, steps, reason = one.config, steps + one.steps, one.reason
+            assert (steps, reason) == (result.steps, result.reason)
             assert config == result.config
 
     def test_one_run_builds_one_configuration(self, monkeypatch):
@@ -274,9 +277,10 @@ class TestTapeBudget:
 
     def test_step_stops_at_the_budget(self, monkeypatch):
         monkeypatch.setattr(tm_encoding, "MAX_TAPE_CELLS", 1)
-        config = tm_step(RIGHT_WRITER, initial_configuration(RIGHT_WRITER, ""))
+        start = initial_configuration(RIGHT_WRITER, "")
+        config = tm_run(RIGHT_WRITER, start, 1).config
         with pytest.raises(BudgetExceeded):
-            tm_step(RIGHT_WRITER, config)
+            tm_run(RIGHT_WRITER, config, 1)
 
     def test_initial_tape_over_the_budget_is_rejected(self, monkeypatch):
         monkeypatch.setattr(tm_encoding, "MAX_TAPE_CELLS", 5)
@@ -297,34 +301,19 @@ class TestTapeBudget:
     def test_budget_is_a_value_error(self):
         assert issubclass(BudgetExceeded, ValueError)
         assert tm_encoding.MAX_TAPE_CELLS == 10**6
+        assert tm_encoding.MAX_TM_STEPS == 10**7
 
 
-class TestStep:
-    def test_step_from_halting_state_is_an_error(self):
-        config = TmConfiguration({}, 0, "accept")
-        with pytest.raises(AlreadyHalted):
-            tm_step(UNARY_INCREMENT, config)
-
-    def test_undefined_transition_carries_context(self):
-        config = TmConfiguration({0: "1"}, 0, "go")
-        machine = TuringMachine(
-            states=frozenset({"go"}),
-            alphabet=frozenset({"1", "#"}),
-            transitions={},
-            initial_state="go",
-        )
-        with pytest.raises(UndefinedTransition) as err:
-            tm_step(machine, config)
-        assert err.value.state == "go"
-        assert err.value.symbol == "1"
-
-    def test_step_does_not_mutate_source_config(self):
-        config = initial_configuration(UNARY_INCREMENT, "1")
-        after = tm_step(UNARY_INCREMENT, config)
-        assert dict(config.cells) == {0: "1"}
-        assert after is not config
-        with pytest.raises(TypeError):
-            config.cells[0] = "#"
+class TestStepBudget:
+    def test_run_over_the_budget_raises_before_stepping(self, monkeypatch):
+        monkeypatch.setattr(tm_encoding, "MAX_TM_STEPS", 20)
+        start = initial_configuration(RIGHT_WRITER, "")
+        assert tm_run(RIGHT_WRITER, start, 20).steps == 20
+        # a first step would write past an empty tape budget
+        monkeypatch.setattr(tm_encoding, "MAX_TAPE_CELLS", 0)
+        with pytest.raises(BudgetExceeded,
+                           match="max_steps 21 exceeds MAX_TM_STEPS=20"):
+            tm_run(RIGHT_WRITER, start, 21)
 
 
 class TestConfigurations:
@@ -335,7 +324,7 @@ class TestConfigurations:
     def test_initial_configuration_head_offset(self):
         config = initial_configuration(UNARY_INCREMENT, "11", head=5)
         assert config.head == 5
-        assert config.read(UNARY_INCREMENT.blank) == "#"
+        assert config.window(UNARY_INCREMENT.blank) == (0, "11####")
 
     def test_head_must_be_integer(self):
         with pytest.raises(ValueError):
@@ -343,12 +332,18 @@ class TestConfigurations:
 
     def test_multicharacter_symbols_render_spaced(self):
         config = TmConfiguration({0: "10", 1: "#"}, 0, "s")
-        assert tape_window(config, "#", 0, 1) == "10 #"
+        assert tape_window(config, "#") == "10 #"
 
     def test_empty_tape_window_defaults_to_head(self):
         config = TmConfiguration({}, 3, "s")
         assert tape_window(config, "#") == "#"
-        assert config.written_range() == (3, 3)
+        assert config.window("#") == (3, "#")
+
+    def test_window_spans_written_cells_and_head(self):
+        config = TmConfiguration({2: "1", 4: "1"}, -1, "s")
+        assert config.window("#") == (-1, "###1#1")
+        config = TmConfiguration({-2: "1"}, 1, "s")
+        assert config.window("#") == (-2, "1###")
 
 
 class TestMachineValidation:
@@ -386,7 +381,7 @@ class TestParser:
         config = initial_configuration(machine, "11")
         result = tm_run(machine, config, 100)
         assert result.steps == 3
-        assert tape_window(result.config, machine.blank, 0, 2) == "111"
+        assert tape_window(result.config, machine.blank) == "111#"
 
     def test_comments_and_blank_lines_ignored(self):
         text = "; nothing\n\nstates: a\nalphabet: #\ninitial: a ; trailing\n"
