@@ -38,6 +38,9 @@ from .phase_space import (
     PhasePoint,
     SpaceConfig,
     Strategy,
+    _scaled,
+    _series_exact,
+    _series_shifted,
     apply_g,
     as_vector,
     basis_vector,
@@ -52,12 +55,21 @@ DEFAULT_TOLERANCE = 1e-9
 
 # Most correction terms one transitivity splice may use; the count is
 # the sum over media components of max(1, ceil(|gap| / N)), so it is at
-# least nv.  Building and walking a splice is linear in the count, but
-# the exact ball distance sums one rational term per correction and
-# grows faster.  On a shared 2-core x86 VM, 10^4 terms at nv 10 take
-# 0.4 s to walk, and a whole witness near the budget about 14 s, nearly
-# all of it in d_strategy.
+# least nv.  Building and walking a splice is linear in the count, and
+# each exact distance over it is a Horner sum quadratic in the count.
+# On a shared 2-core x86 VM, a whole witness with 9982 terms at nv 10
+# takes 0.56 s, about half walking the splice and half in its three
+# exact series.
 MAX_CORRECTION_TERMS = 10**4
+# Most orbit steps times nv that one scan, trace or expansivity run may
+# walk, counted before any point is drawn.  Up to nv ~ 10^3 a step costs
+# about 30 us whatever nv is, so the slowest walks at the budget are at
+# nv 1.  On a shared 2-core x86 VM through the CLI: at nv 8, a scan of
+# 125000 steps takes 3.4 s and a trace of 125000 steps 4.5 s; at nv 1,
+# a scan of 10^6 steps 22 s and a trace of 10^6 steps 29 s, peaking at
+# 650 MiB for its rows.  The default scan (500 trials of 21 steps at
+# nv 8) uses 84000.
+MAX_ORBIT_WORK = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,17 +172,40 @@ def _require_tolerance(tolerance: float) -> float:
     return tolerance
 
 
-def _orbit_pair(x: PhasePoint, y: PhasePoint, n_max: int):
-    """Yield (step, g^step(x), g^step(y)) for steps 0..n_max."""
+def _require_orbit_budget(walks: int, n_max: int, nv: int) -> None:
+    """Raise BudgetExceeded if walks orbits of n_max + 1 steps at nv
+    exceed MAX_ORBIT_WORK; n_max must be a non-negative integer."""
+    if not isinstance(n_max, int) or n_max < 0:
+        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
+    steps = walks * (n_max + 1)
+    if steps * nv > MAX_ORBIT_WORK:
+        raise BudgetExceeded(
+            f"an orbit walk of {steps} steps at nv {nv} needs {steps * nv} "
+            f"step-components, more than MAX_ORBIT_WORK={MAX_ORBIT_WORK}")
+
+
+def _orbit_pair(x: PhasePoint, y: PhasePoint, n_max: int,
+                space: SpaceConfig):
+    """Yield (step, a, b, d_phase(a, b), d_inf(a.media, b.media)).
+
+    a and b are g^step(x) and g^step(y) for steps 0..n_max.  The
+    strategy series is summed exactly once, at step 0, and then stepped
+    by the exact shift recurrence, which reads one term pair per step
+    and none once the series is zero.  Every distance equals the direct
+    d_phase(a, b, space) as a float.
+    """
     if not isinstance(n_max, int) or n_max < 0:
         raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
     if x.dim != y.dim:
         raise DimensionMismatch(f"point dimensions differ: {x.dim} vs {y.dim}")
+    num, den = _series_exact(x.strategy, y.strategy)
     a, b = x, y
     for step in range(n_max + 1):
         if step:
+            num = _series_shifted(num, den, a.strategy, b.strategy)
             a, b = apply_g(a), apply_g(b)
-        yield step, a, b
+        media = d_inf(a.media, b.media)
+        yield step, a, b, media + _scaled(num, den, space), media
 
 
 # ---------- sensitivity ----------
@@ -399,15 +434,17 @@ def expansivity_counterexample(eps: float, n_max: int, space: SpaceConfig,
     at most eps/2 and the strategy series contributes exactly 5*eps/N
     at every step.  Whether that also stays under eps itself depends on
     N (it does iff N >= 10); the report flags the comparison rather
-    than asserting it.
+    than asserting it.  More than MAX_ORBIT_WORK steps times nv raise
+    BudgetExceeded before the pair is built.
     """
     tolerance = _require_tolerance(tolerance)
+    _require_orbit_budget(1, n_max, space.nv)
     eps = float(eps)
     n = float(space.bound_n)
     nv = space.nv
     rest, flipper = expansivity_pair(eps, space)
-    sup_distance = max(d_phase(a, b, space)
-                       for _, a, b in _orbit_pair(rest, flipper, n_max))
+    sup_distance = max(d for _, _, _, d, _ in
+                       _orbit_pair(rest, flipper, n_max, space))
 
     derived_bound = eps / 2.0 + 5.0 * eps / n
     eps_bound_holds = sup_distance <= eps + tolerance
@@ -527,9 +564,13 @@ def continuity_report(x: PhasePoint, trace: OrbitTrace,
 
 def divergence_trace(x: PhasePoint, y: PhasePoint, n_max: int,
                      space: SpaceConfig) -> OrbitTrace:
-    """Distances between the orbits of x and y at steps 0..n_max."""
-    rows = tuple((step, d_phase(a, b, space), d_inf(a.media, b.media))
-                 for step, a, b in _orbit_pair(x, y, n_max))
+    """Distances between the orbits of x and y at steps 0..n_max.
+
+    More than MAX_ORBIT_WORK steps times nv raise BudgetExceeded.
+    """
+    _require_orbit_budget(1, n_max, x.dim)
+    rows = tuple((step, d, media) for step, _, _, d, media
+                 in _orbit_pair(x, y, n_max, space))
     return OrbitTrace(
         points=rows,
         meta={"kind": "divergence", "n_max": n_max, "nv": x.dim,
@@ -566,9 +607,12 @@ def empirical_sensitivity_scan(x: PhasePoint, r: float, trials: int,
     scan at the provable separation; remaining trials draw random
     in-ball perturbations sub-seeded from (seed, trial index).
     Returns max over trials of max over steps 0..n_max of d_phase.
+    More than MAX_ORBIT_WORK steps times nv, trials * (n_max + 1) * nv,
+    raise BudgetExceeded before any trial runs.
     """
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    _require_orbit_budget(trials, n_max, x.dim)
     r = float(r)
     k0 = ball_index(r)
     best = 0.0
@@ -579,8 +623,8 @@ def empirical_sensitivity_scan(x: PhasePoint, r: float, trials: int,
             perturbed = witness_sensitivity(x, r, space).constructed_point
         else:
             perturbed = _random_ball_perturbation(x, r, k0, space, seed, trial)
-        for _, a, b in _orbit_pair(x, perturbed, n_max):
-            best = max(best, d_phase(a, b, space))
+        for _, _, _, d, _ in _orbit_pair(x, perturbed, n_max, space):
+            best = max(best, d)
     return best
 
 

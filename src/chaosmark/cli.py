@@ -28,6 +28,7 @@ import numpy as np
 from . import fileio
 from .chaos_analysis import (
     DEFAULT_TOLERANCE,
+    _require_orbit_budget,
     _require_tolerance,
     continuity_probe,
     continuity_report,
@@ -238,6 +239,7 @@ def _continuity(args, space, seed, points):
 
 def _scan(args, space, seed, points):
     _require_tolerance(args.tolerance)
+    _require_orbit_budget(args.trials, args.n_max, space.nv)
     x = next(points)
     value = empirical_sensitivity_scan(x, args.r, args.trials, args.n_max,
                                        seed, space)
@@ -248,6 +250,7 @@ def _scan(args, space, seed, points):
 
 def _trace(args, space, seed, points):
     _require_tolerance(args.tolerance)
+    _require_orbit_budget(1, args.n_max, space.nv)
     x = next(points)
     if args.pair == "sensitivity":
         y = witness_sensitivity(x, args.r, space).constructed_point

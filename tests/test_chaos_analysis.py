@@ -24,12 +24,15 @@ from chaosmark import (
     check_strategy_bounds,
     iterate_g,
     continuity_probe,
+    phase_space,
     continuity_report,
+    d_inf,
     d_phase,
     d_strategy,
     divergence_trace,
     empirical_sensitivity_scan,
     expansivity_counterexample,
+    expansivity_pair,
     phase_point_to_dict,
     random_phase_point,
     witness_regularity,
@@ -208,6 +211,15 @@ class TestStrongTransitivity:
         with pytest.raises(BudgetExceeded,
                            match=r"needs 4 correction terms.*MAX_CORRECTION_TERMS=3"):
             witness_strong_transitivity(rest(2), 0.5, x_b, SPACE2)
+
+    def test_splice_at_the_correction_budget_fits_the_series_budget(self):
+        # a gap of 99995 at N = 10 takes exactly MAX_CORRECTION_TERMS
+        # pieces, so the ball distance sums a series of about 10^4 terms
+        x_b = PhasePoint(Strategy(1), [99995.0])
+        space = SpaceConfig(nv=1)
+        report = witness_strong_transitivity(rest(1), 1e-12, x_b, space)
+        assert report.inputs["correction_terms"] == 10000
+        assert report.measured["ball_distance"] <= 1e-12
 
     @pytest.mark.parametrize("media_a,media_b", [
         ([0.0, 0.0], [1e300, 0.0]),
@@ -434,6 +446,100 @@ class TestTracesAndScan:
             empirical_sensitivity_scan(rest(2), 0.1, 0, 5, 0, SPACE2)
         with pytest.raises(ValueError):
             empirical_sensitivity_scan(rest(2), 0.1, 3, -1, 0, SPACE2)
+
+
+def assert_walk_matches_d_phase(x, y, n_max, space):
+    """Every distance the walker yields equals the direct evaluation."""
+    walked = 0
+    for step, a, b, d, media in chaos_analysis._orbit_pair(x, y, n_max, space):
+        assert step == walked
+        assert d == d_phase(a, b, space)
+        assert media == d_inf(a.media, b.media)
+        walked += 1
+    assert walked == n_max + 1
+
+
+class TestOrbitWalker:
+    """The shift recurrence in _orbit_pair against d_phase at every step."""
+
+    @pytest.mark.parametrize("bound", [10.0, 1.0, 1e-3])
+    def test_random_orbits(self, bound):
+        space = SpaceConfig(nv=3, bound_n=bound)
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            x = random_phase_point(rng, space)
+            assert_walk_matches_d_phase(x, random_phase_point(rng, space),
+                                        12, space)
+
+    def test_sensitivity_orbits(self):
+        for k in range(1, 13):
+            x = random_phase_point(k, SPACE3)
+            y = witness_sensitivity(x, 10.0 ** -k, SPACE3).constructed_point
+            assert_walk_matches_d_phase(x, y, k + 6, SPACE3)
+
+    @pytest.mark.parametrize("bound", [10.0, 1.0])
+    def test_expansivity_orbits(self, bound):
+        space = SpaceConfig(nv=2, bound_n=bound)
+        assert_walk_matches_d_phase(*expansivity_pair(0.5, space), 30, space)
+
+    def test_transitivity_orbits(self):
+        rng = np.random.default_rng(8)
+        for gap in (0.0, 25.0, 300.0):
+            x_a = random_phase_point(rng, SPACE3)
+            x_b = random_phase_point(rng, SPACE3)
+            x_b = PhasePoint(x_b.strategy, x_b.media + gap)
+            report = witness_strong_transitivity(x_a, 0.01, x_b, SPACE3)
+            candidate = report.constructed_point
+            steps = report.iterations_used + 4
+            assert_walk_matches_d_phase(x_a, candidate, steps, SPACE3)
+            assert_walk_matches_d_phase(candidate, x_b, steps, SPACE3)
+
+    def test_zero_series_reads_no_terms(self, monkeypatch):
+        s = Strategy(2, ([1.0, 2.0],), ([3.0, 4.0],))
+        x, y = PhasePoint(s, [0.0, 0.0]), PhasePoint(s, [1.0, 0.0])
+
+        def unread(*args):
+            raise AssertionError("a term of a zero series was read")
+
+        walk = chaos_analysis._orbit_pair(x, y, 5, SPACE2)
+        distances = [next(walk)[3]]  # summing the series reads its terms
+        monkeypatch.setattr(phase_space, "d_inf", unread)
+        distances += [d for _, _, _, d, _ in walk]
+        assert distances == [1.0] * 6
+
+    def test_walk_errors(self):
+        with pytest.raises(DimensionMismatch):
+            next(chaos_analysis._orbit_pair(rest(2), rest(3), 3, SPACE2))
+        with pytest.raises(ValueError, match="n_max"):
+            next(chaos_analysis._orbit_pair(rest(2), rest(2), -1, SPACE2))
+        big = PhasePoint(Strategy(1, ([1.7e308],)), [1.7e308])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                divergence_trace(big, rest(1), 3, SpaceConfig(nv=1))
+
+
+class TestOrbitBudget:
+    def test_walks_are_counted_before_any_step(self, monkeypatch):
+        # nv 2: six steps are 12 step-components
+        monkeypatch.setattr(chaos_analysis, "MAX_ORBIT_WORK", 12)
+        divergence_trace(rest(2), rest(2), 5, SPACE2)
+        expansivity_counterexample(0.5, 5, SPACE2)
+        empirical_sensitivity_scan(rest(2), 0.1, 2, 2, 0, SPACE2)
+
+        def unwalked(*args):
+            raise AssertionError("an orbit was walked or built")
+
+        for name in ("apply_g", "expansivity_pair", "witness_sensitivity"):
+            monkeypatch.setattr(chaos_analysis, name, unwalked)
+        monkeypatch.setattr(chaos_analysis, "MAX_ORBIT_WORK", 11)
+        over = r"6 steps at nv 2 needs 12 step-components, more than " \
+               r"MAX_ORBIT_WORK=11"
+        with pytest.raises(BudgetExceeded, match=over):
+            divergence_trace(rest(2), rest(2), 5, SPACE2)
+        with pytest.raises(BudgetExceeded, match=over):
+            expansivity_counterexample(0.5, 5, SPACE2)
+        with pytest.raises(BudgetExceeded, match=over):
+            empirical_sensitivity_scan(rest(2), 0.1, 2, 2, 0, SPACE2)
 
 
 class TestSerialization:

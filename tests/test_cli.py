@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from chaosmark import SchemeConfig, fileio, generate_carriers, tm_encoding
+from chaosmark import (SchemeConfig, chaos_analysis, cli, fileio,
+                       generate_carriers, tm_encoding)
 from chaosmark.cli import EXIT_FALSE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 MACHINE_TEXT = """\
@@ -180,6 +181,40 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: the transitivity splice needs ")
         assert err.endswith("more than MAX_CORRECTION_TERMS=10000\n")
+
+    @pytest.mark.parametrize("argv,work", [
+        (["scan", "--r", "0.01", "--trials", "500", "--n-max", "250"], 1004000),
+        (["scan", "--r", "0.01", "--nv", "2000000", "--trials", "1",
+          "--n-max", "0"], 2000000),
+        (["trace", "--n-max", "125000"], 1000008),
+        (["trace", "--pair", "expansivity", "--nv", "2000000",
+          "--n-max", "0"], 2000000),
+        (["expansivity", "--eps", "0.5", "--n-max", "125000"], 1000008),
+        (["expansivity", "--eps", "0.5", "--nv", "2000000"], 202000000),
+    ], ids=["scan", "scan-nv", "trace", "trace-nv", "expansivity",
+            "expansivity-nv"])
+    def test_orbit_budget_is_usage_error(self, argv, work, capsys,
+                                         monkeypatch):
+        def undrawn(*args):
+            raise AssertionError("a start point was drawn")
+
+        monkeypatch.setattr(cli, "random_phase_point", undrawn)
+        monkeypatch.setattr(chaos_analysis, "expansivity_pair", undrawn)
+        assert main(["analyze", *argv]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: an orbit walk of ")
+        assert err.endswith(f"needs {work} step-components, "
+                            "more than MAX_ORBIT_WORK=1000000\n")
+
+    def test_default_walks_sit_well_inside_the_orbit_budget(self):
+        parser = cli.build_parser()
+        scan = parser.parse_args(["analyze", "scan", "--r", "0.01"])
+        assert scan.trials * (scan.n_max + 1) * scan.nv * 10 <= \
+            chaos_analysis.MAX_ORBIT_WORK
+        for argv in (["trace"], ["expansivity", "--eps", "0.5"]):
+            args = parser.parse_args(["analyze", *argv])
+            assert (args.n_max + 1) * args.nv * 10 <= \
+                chaos_analysis.MAX_ORBIT_WORK
 
     def test_negative_env_seed_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("CHAOSMARK_SEED", "-3")

@@ -1,5 +1,7 @@
 """Phase space: shift dynamics, iteration, and the metric."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from chaosmark import (
     BoundViolation,
+    BudgetExceeded,
     DimensionMismatch,
     PhasePoint,
     SpaceConfig,
@@ -18,10 +21,11 @@ from chaosmark import (
     d_phase,
     d_strategy,
     iterate_g,
+    phase_space,
     shift,
 )
 import shift_oracle
-from series_oracle import d_strategy_truncated
+from series_oracle import d_strategy_exact, d_strategy_truncated, series_exact
 
 BOUND = 10.0
 SPACE2 = SpaceConfig(nv=2, bound_n=BOUND)
@@ -334,6 +338,113 @@ class TestMetric:
         d = d_strategy(s, t, SPACE3)
         # terms differ by at most 2N, so the series tops out at 20/0.9 scaled
         assert d <= (9.0 / BOUND) * 2.0 * BOUND * (10.0 / 9.0) + 1e-12
+
+
+ORACLE_BOUNDS = (10.0, 3.0, 1e-3)
+
+
+def assert_series_matches_oracle(s, t, bound=BOUND):
+    """Horner series equals the Fraction oracle as a rational, rounds to
+    the oracle's float at every N in ORACLE_BOUNDS, and d_strategy
+    returns that float at N = bound."""
+    exact = series_exact(s, t)
+    num, den = phase_space._series_exact(s, t)
+    assert Fraction(num, den) == exact
+    for n in ORACLE_BOUNDS:
+        space = SpaceConfig(nv=s.dim, bound_n=n)
+        # d_strategy_exact's rounding, without summing the oracle again
+        assert phase_space._scaled(num, den, space) == float(
+            Fraction(9) / Fraction(n) * exact)
+    space = SpaceConfig(nv=s.dim, bound_n=bound)
+    assert d_strategy(s, t, space) == float(Fraction(9) / Fraction(bound) * exact)
+
+
+class TestExactSeries:
+    """The integer Horner series against the Fraction oracle."""
+
+    def test_criterion_7_triples(self):
+        # the 10^4 triples of test_acceptance's criterion 7, same draws
+        rng = np.random.default_rng(777)
+
+        def draw():
+            prefix = tuple(rng.uniform(-BOUND, BOUND, 3)
+                           for _ in range(int(rng.integers(0, 4))))
+            tail = tuple(rng.uniform(-BOUND, BOUND, 3)
+                         for _ in range(int(rng.integers(0, 3))))
+            rng.uniform(-100.0, 100.0, 3)  # the media draw
+            return Strategy(3, prefix, tail)
+
+        for i in range(10000):
+            x, y, z = draw(), draw(), draw()
+            for s, t in ((x, y), (y, z), (x, z)):
+                assert_series_matches_oracle(s, t, ORACLE_BOUNDS[i % 3])
+
+    def test_random_pairs_with_zero_tails_and_zero_terms(self):
+        # shared heads up to 340 deep put the first difference where the
+        # distance is subnormal or underflows to 0.0
+        rng = np.random.default_rng(2024)
+
+        def term(nv):
+            roll = rng.random()
+            if roll < 0.3:
+                return np.zeros(nv)
+            value = rng.uniform(-BOUND, BOUND, nv)
+            if roll < 0.5:
+                return value * 10.0 ** -int(rng.integers(0, 300))
+            return value
+
+        for i in range(600):
+            nv = int(rng.integers(1, 4))
+            shared = [term(nv) for _ in range(int(rng.choice(
+                [0, 2, 20, 300, 310, 318, 325, 340])))]
+
+            def draw():
+                prefix = shared + [term(nv)
+                                   for _ in range(int(rng.integers(0, 3)))]
+                if rng.random() < 0.3:
+                    return Strategy(nv, shared)
+                return Strategy(nv, prefix, [term(nv) for _ in range(
+                    int(rng.integers(0, 4)))])
+
+            assert_series_matches_oracle(draw(), draw(), ORACLE_BOUNDS[i % 3])
+
+    @pytest.mark.parametrize("p,q", [(7, 5), (31, 29)])
+    def test_coprime_periods(self, p, q):
+        rng = np.random.default_rng(p * q)
+        for i in range(6):
+            s = Strategy(2, [rng.uniform(-BOUND, BOUND, 2)
+                             for _ in range(int(rng.integers(0, 4)))],
+                         [rng.uniform(-BOUND, BOUND, 2) for _ in range(p)])
+            t = Strategy(2, [rng.uniform(-BOUND, BOUND, 2)
+                             for _ in range(int(rng.integers(0, 4)))],
+                         [rng.uniform(-BOUND, BOUND, 2) for _ in range(q)])
+            assert_series_matches_oracle(s, t, ORACLE_BOUNDS[i % 3])
+
+    def test_series_budget_is_checked_before_reading_a_term(self, monkeypatch):
+        # a head of 2 and tail periods 2 and 3: 2 + lcm(2, 3) = 8 terms
+        s = Strategy(1, [[1.0], [2.0]], [[3.0], [4.0]])
+        t = Strategy(1, (), [[5.0], [6.0], [7.0]])
+        space = SpaceConfig(nv=1)
+        monkeypatch.setattr(phase_space, "MAX_SERIES_TERMS", 8)
+        assert d_strategy(s, t, space) == d_strategy_exact(s, t, space)
+
+        def unread(*args):
+            raise AssertionError("a series term was read")
+
+        monkeypatch.setattr(phase_space, "d_inf", unread)
+        monkeypatch.setattr(phase_space, "MAX_SERIES_TERMS", 7)
+        with pytest.raises(BudgetExceeded,
+                           match=r"needs 8 terms, more than MAX_SERIES_TERMS=7"):
+            d_strategy(s, t, space)
+
+    def test_series_budget_at_the_real_value(self):
+        zero = np.zeros(1)
+        s = Strategy(1, (), [zero] * 316)
+        t = Strategy(1, (), [zero] * 317)
+        with pytest.raises(BudgetExceeded,
+                           match=r"needs 100172 terms, more than "
+                                 r"MAX_SERIES_TERMS=100000"):
+            d_strategy(s, t, SpaceConfig(nv=1))
 
 
 class TestSpaceConfig:
