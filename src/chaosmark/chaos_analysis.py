@@ -38,9 +38,7 @@ from .phase_space import (
     PhasePoint,
     SpaceConfig,
     Strategy,
-    _scaled,
-    _series_exact,
-    _series_shifted,
+    _orbit_distances,
     apply_g,
     as_vector,
     basis_vector,
@@ -57,18 +55,18 @@ DEFAULT_TOLERANCE = 1e-9
 # the sum over media components of max(1, ceil(|gap| / N)), so it is at
 # least nv.  Building and walking a splice is linear in the count, and
 # each exact distance over it is a Horner sum quadratic in the count.
-# On a shared 2-core x86 VM, a whole witness with 9982 terms at nv 10
-# takes 0.56 s, about half walking the splice and half in its three
-# exact series.
+# On a shared 2-core x86 VM, a whole witness with 9973 terms at nv 10
+# takes 0.1-0.2 s, nearly all of it in its three exact series; walking
+# the splice takes 5-10 ms.
 MAX_CORRECTION_TERMS = 10**4
 # Most orbit steps times nv that one scan, trace or expansivity run may
 # walk, counted before any point is drawn.  Up to nv ~ 10^3 a step costs
-# about 30 us whatever nv is, so the slowest walks at the budget are at
-# nv 1.  On a shared 2-core x86 VM through the CLI: at nv 8, a scan of
-# 125000 steps takes 3.4 s and a trace of 125000 steps 4.5 s; at nv 1,
-# a scan of 10^6 steps 22 s and a trace of 10^6 steps 29 s, peaking at
-# 650 MiB for its rows.  The default scan (500 trials of 21 steps at
-# nv 8) uses 84000.
+# 8 to 20 us whatever nv is, so the slowest walks at the budget are at
+# nv 1.  On a shared 2-core x86 VM through the CLI, as its load varied:
+# at nv 8, a scan of 125000 steps takes 0.7-1.4 s and a trace 1.1-2.5 s;
+# at nv 1, a scan of 10^6 steps 4.4-8.9 s and a trace 9.7-20 s, peaking
+# at about 655 MiB for its rows.  The default scan (500 trials of 21
+# steps at nv 8) uses 84000.
 MAX_ORBIT_WORK = 10**6
 
 
@@ -184,30 +182,6 @@ def _require_orbit_budget(walks: int, n_max: int, nv: int) -> None:
             f"step-components, more than MAX_ORBIT_WORK={MAX_ORBIT_WORK}")
 
 
-def _orbit_pair(x: PhasePoint, y: PhasePoint, n_max: int,
-                space: SpaceConfig):
-    """Yield (step, a, b, d_phase(a, b), d_inf(a.media, b.media)).
-
-    a and b are g^step(x) and g^step(y) for steps 0..n_max.  The
-    strategy series is summed exactly once, at step 0, and then stepped
-    by the exact shift recurrence, which reads one term pair per step
-    and none once the series is zero.  Every distance equals the direct
-    d_phase(a, b, space) as a float.
-    """
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
-    if x.dim != y.dim:
-        raise DimensionMismatch(f"point dimensions differ: {x.dim} vs {y.dim}")
-    num, den = _series_exact(x.strategy, y.strategy)
-    a, b = x, y
-    for step in range(n_max + 1):
-        if step:
-            num = _series_shifted(num, den, a.strategy, b.strategy)
-            a, b = apply_g(a), apply_g(b)
-        media = d_inf(a.media, b.media)
-        yield step, a, b, media + _scaled(num, den, space), media
-
-
 # ---------- sensitivity ----------
 
 def witness_sensitivity(x: PhasePoint, r: float, space: SpaceConfig,
@@ -237,9 +211,9 @@ def witness_sensitivity(x: PhasePoint, r: float, space: SpaceConfig,
     changed[0] = target
     witness = PhasePoint(x.strategy.with_term(term_index, changed), x.media)
 
-    ball_distance = d_phase(x, witness, space)
     steps = k0 + 2
-    separation = d_phase(iterate_g(x, steps), iterate_g(witness, steps), space)
+    walk = [d for d, _ in _orbit_distances(x, witness, steps, space)]
+    ball_distance, separation = walk[0], walk[-1]
     verdict = ball_distance <= float(r) and separation >= half - tolerance
     return WitnessReport(
         property="sensitivity",
@@ -443,8 +417,8 @@ def expansivity_counterexample(eps: float, n_max: int, space: SpaceConfig,
     n = float(space.bound_n)
     nv = space.nv
     rest, flipper = expansivity_pair(eps, space)
-    sup_distance = max(d for _, _, _, d, _ in
-                       _orbit_pair(rest, flipper, n_max, space))
+    sup_distance = max(d for d, _ in
+                       _orbit_distances(rest, flipper, n_max, space))
 
     derived_bound = eps / 2.0 + 5.0 * eps / n
     eps_bound_holds = sup_distance <= eps + tolerance
@@ -569,8 +543,8 @@ def divergence_trace(x: PhasePoint, y: PhasePoint, n_max: int,
     More than MAX_ORBIT_WORK steps times nv raise BudgetExceeded.
     """
     _require_orbit_budget(1, n_max, x.dim)
-    rows = tuple((step, d, media) for step, _, _, d, media
-                 in _orbit_pair(x, y, n_max, space))
+    rows = tuple((step, d, media) for step, (d, media)
+                 in enumerate(_orbit_distances(x, y, n_max, space)))
     return OrbitTrace(
         points=rows,
         meta={"kind": "divergence", "n_max": n_max, "nv": x.dim,
@@ -591,7 +565,10 @@ def _random_ball_perturbation(x: PhasePoint, r: float, k0: int,
     strategy_budget = 0.5 * r * (1.0 - frac)
     media = np.array(x.media) + rng.uniform(-media_budget, media_budget, nv)
     depth = k0 + int(rng.integers(0, 3))
-    cap = strategy_budget * (n / 9.0) * 10.0 ** depth
+    # 10.0 ** 309 overflows, and uniform() needs 2 * cap finite; a cap
+    # below the budget's still keeps the perturbation inside the ball
+    cap = min(strategy_budget * (n / 9.0) * 10.0 ** min(depth, 308)
+              * 10.0 ** max(depth - 308, 0), np.finfo(float).max / 2)
     term = np.array(x.strategy.term(depth), dtype=np.float64)
     term = np.clip(term + rng.uniform(-cap, cap, nv), -n, n)
     return PhasePoint(x.strategy.with_term(depth, term), media)
@@ -623,7 +600,7 @@ def empirical_sensitivity_scan(x: PhasePoint, r: float, trials: int,
             perturbed = witness_sensitivity(x, r, space).constructed_point
         else:
             perturbed = _random_ball_perturbation(x, r, k0, space, seed, trial)
-        for _, _, _, d, _ in _orbit_pair(x, perturbed, n_max, space):
+        for d, _ in _orbit_distances(x, perturbed, n_max, space):
             best = max(best, d)
     return best
 

@@ -181,6 +181,16 @@ def check_strategy_bounds(s: Strategy, bound_n: float,
             f"{context} term component {worst!r} exceeds bound {bound_n!r}")
 
 
+def _dropped(s: Strategy, n: int) -> Strategy:
+    """n >= 1 steps of shift at once, sharing the terms that remain."""
+    if n <= len(s.prefix):
+        return s._trusted(s.prefix[n:], s.tail)
+    if s.tail:
+        rot = (n - len(s.prefix)) % len(s.tail)
+        return s._trusted((), s.tail[rot:] + s.tail[:rot])
+    return s._trusted((), ()) if s.prefix else s
+
+
 def shift(s: Strategy) -> Strategy:
     """Drop the first sequence element.
 
@@ -188,11 +198,7 @@ def shift(s: Strategy) -> Strategy:
     strategy is a fixed point.  The result shares the terms of s, so a
     step costs no copy or validation of the terms that remain.
     """
-    if s.prefix:
-        return s._trusted(s.prefix[1:], s.tail)
-    if s.tail:
-        return s._trusted((), s.tail[1:] + s.tail[:1])
-    return s
+    return _dropped(s, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,23 +221,25 @@ class PhasePoint:
 
 
 def apply_g(x: PhasePoint) -> PhasePoint:
-    """One step of the embedding map: absorb the head strategy term.
-
-    Returns (shift(S), S_0 + E) for x = (S, E).  The new point shares
-    the terms of S; only the new media vector is validated, so a sum
-    that overflows to +-inf raises ValueError.
-    """
-    media = x.strategy.term(0) + x.media
-    return PhasePoint(shift(x.strategy), media)
+    """One step of the embedding map: (shift(S), S_0 + E) for x = (S, E)."""
+    return iterate_g(x, 1)
 
 
 def iterate_g(x: PhasePoint, n: int) -> PhasePoint:
-    """n-fold composition of apply_g (n = 0 returns x unchanged)."""
+    """n-fold composition of apply_g (n = 0 returns x unchanged).
+
+    The media absorbs terms 0..n-1 in order and the strategy drops them
+    at once.  Terms are finite, so a sum that overflows stays +-inf and
+    the final media check raises ValueError.
+    """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"iteration count must be a non-negative integer, got {n!r}")
-    for _ in range(n):
-        x = apply_g(x)
-    return x
+    if not n:
+        return x
+    s, media = x.strategy, x.media
+    for k in range(n):
+        media = s.term(k) + media
+    return PhasePoint(_dropped(s, n), media)
 
 
 # ---------- metric ----------
@@ -242,12 +250,12 @@ def d_inf(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.max(np.abs(a - b)))
+    return float(np.abs(a - b).max())
 
 
-def _units(d: float) -> int:
-    """A non-negative double as an integer multiple of 2^-UNIT_BITS."""
-    num, den = d.as_integer_ratio()
+def _term_gap(s: Strategy, t: Strategy, k: int) -> int:
+    """d_inf(s_k, t_k) as an integer multiple of 2^-UNIT_BITS."""
+    num, den = d_inf(s.term(k), t.term(k)).as_integer_ratio()
     return num << (UNIT_BITS + 1 - den.bit_length())
 
 
@@ -271,24 +279,11 @@ def _series_exact(s: Strategy, t: Strategy) -> tuple[int, int]:
             f"more than MAX_SERIES_TERMS={MAX_SERIES_TERMS}")
     head = block = 0
     for k in range(head_len):
-        head = head * 10 + _units(d_inf(s.term(k), t.term(k)))
+        head = head * 10 + _term_gap(s, t, k)
     for k in range(head_len, head_len + p):
-        block = block * 10 + _units(d_inf(s.term(k), t.term(k)))
+        block = block * 10 + _term_gap(s, t, k)
     repunit = 10**p - 1
     return 10 * (head * repunit + block), (10**head_len * repunit) << UNIT_BITS
-
-
-def _series_shifted(num: int, den: int, s: Strategy, t: Strategy) -> int:
-    """Numerator over the same den of the series of shift(s), shift(t).
-
-    For num / den = _series_exact(s, t) that series is
-    10 * (num / den - d_inf(s_0, t_0)), exactly; a zero series stays
-    zero without reading a term.
-    """
-    if not num:
-        return 0
-    head = _units(d_inf(s.term(0), t.term(0)))
-    return 10 * (num - (den >> UNIT_BITS) * head)
 
 
 def _scaled(num: int, den: int, space: SpaceConfig) -> float:
@@ -317,3 +312,31 @@ def d_strategy(s: Strategy, t: Strategy, space: SpaceConfig) -> float:
 def d_phase(x: PhasePoint, y: PhasePoint, space: SpaceConfig) -> float:
     """Phase-space distance: media sup-norm plus strategy series distance."""
     return d_inf(x.media, y.media) + d_strategy(x.strategy, y.strategy, space)
+
+
+def _orbit_distances(x: PhasePoint, y: PhasePoint, n_max: int,
+                     space: SpaceConfig):
+    """Yield (d_phase, d_inf of the media) of g^k(x), g^k(y), k = 0..n_max.
+
+    The one walker of two orbits builds no point.  The strategy series
+    is summed once, then stepped by the exact shift recurrence
+    S' = 10 * (S - d_inf(s_k, t_k)), which reads no term once S is 0.
+    Every distance equals d_phase of the points iterate_g builds, and
+    a media that overflows raises ValueError.
+    """
+    if x.dim != y.dim:
+        raise DimensionMismatch(f"point dimensions differ: {x.dim} vs {y.dim}")
+    s, t = x.strategy, y.strategy
+    num, den = _series_exact(s, t)
+    a, b = x.media, y.media
+    for k in range(n_max + 1):
+        if k:
+            if num:
+                num = 10 * (num - (den >> UNIT_BITS) * _term_gap(s, t, k - 1))
+            a, b = s.term(k - 1) + a, t.term(k - 1) + b
+        media = d_inf(a, b)
+        # finite media can still lie an infinite distance apart
+        if not (math.isfinite(media)
+                or np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("vector components must be finite")
+        yield media + _scaled(num, den, space), media

@@ -441,6 +441,20 @@ class TestTracesAndScan:
         c = empirical_sensitivity_scan(rest(3), 0.1, 12, 8, 100, SPACE3)
         assert (a >= 5.0) and (c >= 5.0)
 
+    @pytest.mark.parametrize("r,bound", [
+        (0.1, 10.0), (1e-300, 8e307), (1e-306, 10.0), (1e-307, 10.0),
+        (1e-320, 10.0), (5e-324, 10.0), (1e-320, 8e307)])
+    def test_random_perturbations_stay_inside_the_ball(self, r, bound):
+        # draws at depth k0 + 2 > 308 and caps past uniform()'s range
+        space = SpaceConfig(nv=3, bound_n=bound)
+        x = random_phase_point(3, space)
+        k0 = ball_index(r)
+        for trial in range(2, 40):
+            y = chaos_analysis._random_ball_perturbation(x, r, k0, space, 5,
+                                                         trial)
+            assert d_phase(x, y, space) <= r
+            check_strategy_bounds(y.strategy, bound)
+
     def test_scan_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             empirical_sensitivity_scan(rest(2), 0.1, 0, 5, 0, SPACE2)
@@ -449,10 +463,12 @@ class TestTracesAndScan:
 
 
 def assert_walk_matches_d_phase(x, y, n_max, space):
-    """Every distance the walker yields equals the direct evaluation."""
+    """Every distance the walker yields equals d_phase on the oracle's points."""
     walked = 0
-    for step, a, b, d, media in chaos_analysis._orbit_pair(x, y, n_max, space):
-        assert step == walked
+    a, b = x, y
+    for d, media in phase_space._orbit_distances(x, y, n_max, space):
+        if walked:
+            a, b = shift_oracle.iterate_g(a, 1), shift_oracle.iterate_g(b, 1)
         assert d == d_phase(a, b, space)
         assert media == d_inf(a.media, b.media)
         walked += 1
@@ -460,7 +476,7 @@ def assert_walk_matches_d_phase(x, y, n_max, space):
 
 
 class TestOrbitWalker:
-    """The shift recurrence in _orbit_pair against d_phase at every step."""
+    """The walker's shift recurrence against d_phase at every step."""
 
     @pytest.mark.parametrize("bound", [10.0, 1.0, 1e-3])
     def test_random_orbits(self, bound):
@@ -501,21 +517,29 @@ class TestOrbitWalker:
         def unread(*args):
             raise AssertionError("a term of a zero series was read")
 
-        walk = chaos_analysis._orbit_pair(x, y, 5, SPACE2)
-        distances = [next(walk)[3]]  # summing the series reads its terms
-        monkeypatch.setattr(phase_space, "d_inf", unread)
-        distances += [d for _, _, _, d, _ in walk]
+        walk = phase_space._orbit_distances(x, y, 5, SPACE2)
+        distances = [next(walk)[0]]  # summing the series reads its terms
+        monkeypatch.setattr(phase_space, "_term_gap", unread)
+        distances += [d for d, _ in walk]
         assert distances == [1.0] * 6
 
     def test_walk_errors(self):
         with pytest.raises(DimensionMismatch):
-            next(chaos_analysis._orbit_pair(rest(2), rest(3), 3, SPACE2))
+            next(phase_space._orbit_distances(rest(2), rest(3), 3, SPACE2))
         with pytest.raises(ValueError, match="n_max"):
-            next(chaos_analysis._orbit_pair(rest(2), rest(2), -1, SPACE2))
+            divergence_trace(rest(2), rest(2), -1, SPACE2)
         big = PhasePoint(Strategy(1, ([1.7e308],)), [1.7e308])
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="finite"):
                 divergence_trace(big, rest(1), 3, SpaceConfig(nv=1))
+
+    def test_finite_media_an_infinite_distance_apart(self):
+        # the media difference overflows, but neither media does
+        x = PhasePoint(Strategy(1), [1.7e308])
+        y = PhasePoint(Strategy(1), [-1.7e308])
+        with np.errstate(over="ignore"):
+            trace = divergence_trace(x, y, 2, SpaceConfig(nv=1))
+        assert [row[1:] for row in trace.points] == [(math.inf, math.inf)] * 3
 
 
 class TestOrbitBudget:
@@ -529,7 +553,8 @@ class TestOrbitBudget:
         def unwalked(*args):
             raise AssertionError("an orbit was walked or built")
 
-        for name in ("apply_g", "expansivity_pair", "witness_sensitivity"):
+        for name in ("_orbit_distances", "expansivity_pair",
+                     "witness_sensitivity"):
             monkeypatch.setattr(chaos_analysis, name, unwalked)
         monkeypatch.setattr(chaos_analysis, "MAX_ORBIT_WORK", 11)
         over = r"6 steps at nv 2 needs 12 step-components, more than " \

@@ -206,6 +206,14 @@ class TestExitCodes:
         assert err.endswith(f"needs {work} step-components, "
                             "more than MAX_ORBIT_WORK=1000000\n")
 
+    @pytest.mark.parametrize("r", ["1e-307", "1e-320"])
+    def test_scan_draws_past_the_largest_power_of_ten(self, r, capsys):
+        # random draws reach depth k0 + 2, past 10^308
+        assert main(["analyze", "scan", "--r", r, "--trials", "5"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["command"] == "analyze scan"
+        assert "Traceback" not in captured.err
+
     def test_default_walks_sit_well_inside_the_orbit_budget(self):
         parser = cli.build_parser()
         scan = parser.parse_args(["analyze", "scan", "--r", "0.01"])

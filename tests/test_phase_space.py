@@ -200,6 +200,62 @@ class TestStrategy:
             Strategy(2, (np.array([1.0, 2.0, 3.0]),))
 
 
+def same_terms(u, v):
+    """u and v store the very same term objects, prefix and tail alike."""
+    return (len(u.prefix) == len(v.prefix) and len(u.tail) == len(v.tail)
+            and all(a is b for a, b in zip(u.prefix + u.tail,
+                                           v.prefix + v.tail)))
+
+
+def shifted(s, n):
+    for _ in range(n):
+        s = shift(s)
+    return s
+
+
+class TestDrop:
+    """The n-step drop against n repeated shifts."""
+
+    S = Strategy(2, ([1.0, 2.0], [3.0, 4.0], [5.0, 6.0]),
+                 ([7.0, 8.0], [9.0, 0.0], [-1.0, -2.0]))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_inside_the_prefix(self, n):
+        got = phase_space._dropped(self.S, n)
+        assert same_terms(got, shifted(self.S, n))
+        assert got.prefix == self.S.prefix[n:] and got.tail is self.S.tail
+
+    def test_to_the_end_of_the_prefix(self):
+        got = phase_space._dropped(self.S, 3)
+        assert same_terms(got, shifted(self.S, 3))
+        assert got.prefix == () and got.tail is self.S.tail
+
+    @pytest.mark.parametrize("n", [3, 4, 9])
+    def test_past_the_prefix_into_a_zero_tail(self, n):
+        s = Strategy(2, ([1.0, 2.0], [3.0, 4.0]))
+        got = phase_space._dropped(s, n)
+        assert same_terms(got, shifted(s, n))
+        assert got.prefix == got.tail == ()
+        assert got.term(0) is s.term(5)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 11, 3001])
+    def test_past_the_prefix_into_a_periodic_tail(self, n):
+        got = phase_space._dropped(self.S, n)
+        assert same_terms(got, shifted(self.S, n))
+        rot = (n - 3) % 3
+        assert got.prefix == ()
+        assert all(a is b for a, b in zip(
+            got.tail, self.S.tail[rot:] + self.S.tail[:rot]))
+        for k in range(7):
+            assert got.term(k) is self.S.term(n + k)
+
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_zero_strategy_is_returned_as_it_is(self, n):
+        z = Strategy(3)
+        assert phase_space._dropped(z, n) is z
+        assert shifted(z, n) is z
+
+
 class TestMap:
     def test_apply_g_absorbs_head_term(self):
         s = Strategy(2, [[1.0, 2.0], [3.0, 4.0]])
@@ -232,6 +288,24 @@ class TestMap:
                 apply_g(x)
             with pytest.raises(ValueError, match="finite"):
                 iterate_g(x, 1)
+
+    def test_media_overflow_midway_raises(self):
+        # the media overflows at step 1 of 5 and stays +inf after it
+        x = PhasePoint(Strategy(1, ([1e308], [1e308], [-1.0])), [1e308])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                iterate_g(x, 5)
+
+    def test_long_prefix_matches_an_in_order_sum(self):
+        rng = np.random.default_rng(10)
+        terms = [rng.uniform(-10.0, 10.0, 10) for _ in range(10**4)]
+        x = PhasePoint(Strategy(10, terms), rng.uniform(-5.0, 5.0, 10))
+        want = np.array(x.media)
+        for term in x.strategy.prefix:
+            want = term + want
+        got = iterate_g(x, 10**4)
+        assert got.media.tobytes() == want.tobytes()
+        assert got.strategy.prefix == () and got.strategy.tail == ()
 
     def test_point_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
