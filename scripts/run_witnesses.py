@@ -10,10 +10,9 @@ import numpy as np
 
 from chaosmark import (
     SpaceConfig,
-    continuity_probe,
-    continuity_report,
     expansivity_counterexample,
     random_phase_point,
+    witness_continuity,
     witness_regularity,
     witness_sensitivity,
     witness_strong_transitivity,
@@ -37,7 +36,7 @@ def main() -> int:
         witness_strong_transitivity(x, 0.1, y, space),
         witness_regularity(x, 1e-3, space),
         expansivity_counterexample(0.5, 100, space),
-        continuity_report(x, continuity_probe(x, [1e-1, 1e-2, 1e-3, 1e-4], space)),
+        witness_continuity(x, [1e-1, 1e-2, 1e-3, 1e-4], space)[0],
     ]
     for report in reports:
         measured = ", ".join(f"{k}={v:.6g}" for k, v in report.measured.items())

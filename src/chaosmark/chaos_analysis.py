@@ -18,7 +18,7 @@ Covered properties:
 * non-expansivity:       a pair whose orbits never separate past a
                          fixed bound, however long they run
 * continuity:            shrinking perturbations whose images shrink
-                         proportionally
+                         proportionally (witness_continuity)
 
 The `empirical_sensitivity_scan` complements the constructive route
 with a randomized search over a ball, mainly as a sanity check that
@@ -39,10 +39,8 @@ from .phase_space import (
     SpaceConfig,
     Strategy,
     _orbit_distances,
-    apply_g,
     as_vector,
     basis_vector,
-    d_inf,
     d_phase,
     iterate_g,
     zeros_vector,
@@ -110,8 +108,8 @@ class OrbitTrace:
     """Per-step distance records between two orbits.
 
     points rows are (step, d_phase, d_inf_media).  meta carries the
-    generating parameters (and, for the continuity probe, the parallel
-    list of input distances).
+    generating parameters (and, for the continuity witness, the
+    parallel list of input distances).
     """
 
     points: tuple[tuple[int, float, float], ...]
@@ -345,8 +343,8 @@ def witness_regularity(x: PhasePoint, eps: float, space: SpaceConfig,
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
     nv = x.dim
     n = float(space.bound_n)
-    n0 = max(0, math.ceil(-math.log10(eps)))
-    while not 10.0 ** (-n0) < eps:
+    n0 = ball_index(eps)
+    if 10.0 ** (-n0) == eps:
         n0 += 1
 
     plus = as_vector(np.full(nv, n))
@@ -450,13 +448,19 @@ def _perturbed(x: PhasePoint, s: float) -> PhasePoint:
     return PhasePoint(x.strategy.with_term(0, term), media)
 
 
-def continuity_probe(x: PhasePoint, scales, space: SpaceConfig) -> OrbitTrace:
+def witness_continuity(x: PhasePoint, scales, space: SpaceConfig,
+                       tolerance: float = DEFAULT_TOLERANCE,
+                       ) -> tuple[WitnessReport, OrbitTrace]:
     """Push shrinking perturbations of x through one map application.
 
     Each scale s bumps media component 0 and strategy term 0 component
-    0 by s.  Rows record the post-map distances; meta carries the
-    matching pre-map distances.  Scales that would push the strategy
-    term outside [-N, N] are skipped and listed in meta.
+    0 by s, and one walk of the perturbed point beside x measures the
+    input distance (step 0) and the image distances (step 1).  Scales
+    that would push the strategy term outside [-N, N] are skipped.  The
+    trace rows hold the image distances, and its meta the scales and
+    the matching input distances.  Verdict: every image distance is at
+    most twice its input distance (plus tolerance) and the image
+    distances do not increase as the scales shrink.
     """
     scales = [float(s) for s in scales]
     if not scales or any(not (math.isfinite(s) and s > 0.0) for s in scales):
@@ -464,49 +468,22 @@ def continuity_probe(x: PhasePoint, scales, space: SpaceConfig) -> OrbitTrace:
     if any(b >= a for a, b in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly decreasing")
 
-    image = apply_g(x)
     head = float(x.strategy.term(0)[0])
-    rows = []
-    input_d = []
-    used = []
-    skipped = []
+    rows, input_d, used, skipped = [], [], [], []
     for s in scales:
         if abs(head + s) > space.bound_n:
             skipped.append(s)
             continue
         perturbed = _perturbed(x, s)
-        input_d.append(d_phase(perturbed, x, space))
-        perturbed_image = apply_g(perturbed)
-        rows.append((len(rows),
-                     d_phase(perturbed_image, image, space),
-                     d_inf(perturbed_image.media, image.media)))
+        (before, _), (after, media) = _orbit_distances(perturbed, x, 1, space)
+        input_d.append(before)
+        rows.append((len(rows), after, media))
         used.append(s)
-    return OrbitTrace(
-        points=tuple(rows),
-        meta={
-            "kind": "continuity_probe",
-            "scales": used,
-            "skipped_scales": skipped,
-            "input_d_phase": input_d,
-            "nv": x.dim,
-            "bound_n": float(space.bound_n),
-        },
-    )
-
-
-def continuity_report(x: PhasePoint, trace: OrbitTrace,
-                      tolerance: float = DEFAULT_TOLERANCE) -> WitnessReport:
-    """Wrap the continuity probe trace of x as a witness.
-
-    Verdict: every image distance is at most twice its input distance
-    (plus tolerance) and the image distances do not increase as the
-    scales shrink.
-    """
+    # after the walks, so a walk's error keeps precedence over this one
     tolerance = _require_tolerance(tolerance)
-    image_d = [row[1] for row in trace.points]
-    input_d = trace.meta["input_d_phase"]
-    if not image_d:
+    if not rows:
         raise ValueError("no usable scales: every perturbation left the bound")
+    image_d = [row[1] for row in rows]
     ratio_ok = all(img <= 2.0 * inp + tolerance
                    for img, inp in zip(image_d, input_d))
     nonincreasing = all(b <= a + tolerance
@@ -514,15 +491,12 @@ def continuity_report(x: PhasePoint, trace: OrbitTrace,
     max_ratio = max((img / inp if inp else 0.0)
                     for img, inp in zip(image_d, input_d))
 
-    return WitnessReport(
+    n = float(space.bound_n)
+    report = WitnessReport(
         property="continuity",
-        inputs={
-            "scales": list(trace.meta["scales"]),
-            "skipped_scales": list(trace.meta["skipped_scales"]),
-            "nv": x.dim,
-            "bound_n": trace.meta["bound_n"],
-        },
-        constructed_point=_perturbed(x, trace.meta["scales"][-1]),
+        inputs={"scales": list(used), "skipped_scales": list(skipped),
+                "nv": x.dim, "bound_n": n},
+        constructed_point=perturbed,
         iterations_used=1,
         measured={
             "max_image_to_input_ratio": max_ratio,
@@ -532,6 +506,13 @@ def continuity_report(x: PhasePoint, trace: OrbitTrace,
         verdict=bool(ratio_ok and nonincreasing),
         tolerance=tolerance,
     )
+    trace = OrbitTrace(
+        points=tuple(rows),
+        meta={"kind": "continuity_probe", "scales": used,
+              "skipped_scales": skipped, "input_d_phase": input_d,
+              "nv": x.dim, "bound_n": n},
+    )
+    return report, trace
 
 
 # ---------- traces and randomized scan ----------

@@ -30,14 +30,13 @@ from .chaos_analysis import (
     DEFAULT_TOLERANCE,
     _require_orbit_budget,
     _require_tolerance,
-    continuity_probe,
-    continuity_report,
     divergence_trace,
     empirical_sensitivity_scan,
     expansivity_counterexample,
     expansivity_pair,
     phase_point_to_dict,
     random_phase_point,
+    witness_continuity,
     witness_regularity,
     witness_sensitivity,
     witness_strong_transitivity,
@@ -231,8 +230,7 @@ def _expansivity(args, space, seed, points):
 def _continuity(args, space, seed, points):
     scales = [float(s) for s in args.scales.split(",") if s.strip()]
     x = next(points)
-    trace = continuity_probe(x, scales, space)
-    report = continuity_report(x, trace, args.tolerance)
+    report, trace = witness_continuity(x, scales, space, args.tolerance)
     return {"scales": scales}, {"report": report.to_dict(),
                                 "trace": trace.to_dict()}
 
@@ -425,7 +423,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        # numpy would warn on overflow before the finiteness checks raise
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (FormatError, MachineParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -207,7 +207,8 @@ def key_fingerprint(key: int) -> str:
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Strict JSON: a non-finite float raises ValueError, since JSON has none."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _csv_cell(value) -> str:

@@ -144,11 +144,6 @@ def initial_configuration(machine: TuringMachine, tape,
     return TmConfiguration(cells, head, machine.initial_state)
 
 
-def tape_window(config: TmConfiguration, blank: str) -> str:
-    """Render the written cells and the head as a string."""
-    return config.window(blank)[1]
-
-
 @dataclass(frozen=True)
 class TmRunResult:
     """Outcome of tm_run.

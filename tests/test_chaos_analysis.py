@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,9 +24,7 @@ from chaosmark import (
     generate_carriers,
     check_strategy_bounds,
     iterate_g,
-    continuity_probe,
     phase_space,
-    continuity_report,
     d_inf,
     d_phase,
     d_strategy,
@@ -35,6 +34,7 @@ from chaosmark import (
     expansivity_pair,
     phase_point_to_dict,
     random_phase_point,
+    witness_continuity,
     witness_regularity,
     witness_sensitivity,
     witness_strong_transitivity,
@@ -296,6 +296,17 @@ class TestRegularity:
                         deepened += n0 > first
         assert deepened
 
+    def test_first_depth_is_the_first_decade_below_eps(self):
+        # rest's first candidate lies 10^-n0 away, so it never deepens
+        space = SpaceConfig(nv=1)
+        eps_values = [5e-324, 1e-300, 7.5, sys.float_info.max]
+        for k in range(-3, 24):
+            p = 10.0 ** -k
+            eps_values += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+        for eps in map(float, eps_values):
+            first = next(n for n in range(400) if 10.0 ** -n < eps)
+            assert witness_regularity(rest(1), eps, space).inputs["n0"] == first
+
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
             witness_regularity(rest(2), 0.0, SPACE2)
@@ -364,9 +375,33 @@ class TestNonExpansivity:
         assert report.measured["sup_distance"] <= report.measured["derived_bound"]
 
 
+def continuity_oracle(x, scales, space):
+    """The two-call computation witness_continuity replaced: each usable
+    scale's perturbation p, its d_phase(p, x), and the image row of
+    d_phase and d_inf between apply_g(p) and apply_g(x)."""
+    image = apply_g(x)
+    head = float(x.strategy.term(0)[0])
+    used, skipped, input_d, rows = [], [], [], []
+    for s in scales:
+        if abs(head + s) > space.bound_n:
+            skipped.append(s)
+            continue
+        p = chaos_analysis._perturbed(x, s)
+        p_image = apply_g(p)
+        used.append(s)
+        input_d.append(d_phase(p, x, space))
+        rows.append((len(rows), d_phase(p_image, image, space),
+                     d_inf(p_image.media, image.media)))
+    return used, skipped, input_d, rows
+
+
+def float_bits(values):
+    return [float(v).hex() for v in values]
+
+
 class TestContinuity:
     def test_probe_rows_shrink_with_scale(self):
-        trace = continuity_probe(rest(2), [1e-1, 1e-2, 1e-3], SPACE2)
+        _, trace = witness_continuity(rest(2), [1e-1, 1e-2, 1e-3], SPACE2)
         assert len(trace.points) == 3
         image_d = [row[1] for row in trace.points]
         assert image_d == sorted(image_d, reverse=True)
@@ -375,8 +410,7 @@ class TestContinuity:
         assert trace.meta["skipped_scales"] == []
 
     def test_report_ratio_stays_under_two(self):
-        trace = continuity_probe(rest(2), [1e-1, 1e-2, 1e-3], SPACE2)
-        report = continuity_report(rest(2), trace)
+        report, _ = witness_continuity(rest(2), [1e-1, 1e-2, 1e-3], SPACE2)
         assert report.measured["max_image_to_input_ratio"] < 1.06
         assert report.measured["image_distances_nonincreasing"] == 1.0
         assert report.verdict
@@ -384,23 +418,67 @@ class TestContinuity:
     def test_scales_at_the_bound_are_skipped(self):
         term = np.array([9.95, 0.0])
         x = PhasePoint(Strategy(2, (term,), ()), [0.0, 0.0])
-        trace = continuity_probe(x, [1e-1, 1e-2, 1e-3], SPACE2)
+        report, trace = witness_continuity(x, [1e-1, 1e-2, 1e-3], SPACE2)
         assert trace.meta["skipped_scales"] == [1e-1]
+        assert report.inputs["skipped_scales"] == [1e-1]
         assert len(trace.points) == 2
+        # a term bumped exactly onto N stays inside the bound
+        x = PhasePoint(Strategy(2, (np.array([9.0, 0.0]),), ()), [0.0, 0.0])
+        _, trace = witness_continuity(x, [1.0, 0.5], SPACE2)
+        assert trace.meta["skipped_scales"] == []
 
     def test_all_scales_skipped_raises(self):
         term = np.array([10.0, 0.0])
         x = PhasePoint(Strategy(2, (term,), ()), [0.0, 0.0])
-        with pytest.raises(ValueError):
-            continuity_report(x, continuity_probe(x, [1e-1, 1e-2], SPACE2))
+        with pytest.raises(ValueError, match="no usable scales"):
+            witness_continuity(x, [1e-1, 1e-2], SPACE2)
 
     def test_rejects_bad_scales(self):
         with pytest.raises(ValueError):
-            continuity_probe(rest(2), [], SPACE2)
+            witness_continuity(rest(2), [], SPACE2)
         with pytest.raises(ValueError):
-            continuity_probe(rest(2), [1e-3, 1e-2], SPACE2)
+            witness_continuity(rest(2), [1e-3, 1e-2], SPACE2)
         with pytest.raises(ValueError):
-            continuity_probe(rest(2), [1e-1, -1e-2], SPACE2)
+            witness_continuity(rest(2), [1e-1, -1e-2], SPACE2)
+
+    def test_scales_are_checked_before_the_tolerance(self):
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            witness_continuity(rest(2), [1e-3, 1e-2], SPACE2, tolerance=-1.0)
+        with pytest.raises(ValueError, match="tolerance"):
+            witness_continuity(rest(2), [1e-2], SPACE2, tolerance=-1.0)
+
+    @pytest.mark.parametrize("bound_n", [10.0, 0.5])
+    @pytest.mark.parametrize("nv", [1, 8, 64])
+    def test_walk_matches_the_two_call_oracle(self, nv, bound_n):
+        space = SpaceConfig(nv=nv, bound_n=bound_n)
+        # 9.5 and 5 leave the bound from most heads at N = 10, and 5, 1
+        # and 0.1 from every head at N = 0.5
+        scales = [9.5, 5.0, 1.0, 0.1, 1e-3, 1e-7, 1e-300]
+        for seed in range(15):
+            x = random_phase_point(seed, space)
+            used, skipped, input_d, rows = continuity_oracle(x, scales, space)
+            report, trace = witness_continuity(x, scales, space)
+            assert trace.meta["scales"] == report.inputs["scales"] == used
+            assert (trace.meta["skipped_scales"]
+                    == report.inputs["skipped_scales"] == skipped)
+            assert float_bits(trace.meta["input_d_phase"]) == \
+                float_bits(input_d)
+            assert [r[0] for r in trace.points] == [r[0] for r in rows]
+            for column in (1, 2):
+                assert float_bits(r[column] for r in trace.points) == \
+                    float_bits(r[column] for r in rows)
+            image_d = [r[1] for r in rows]
+            assert report.measured["final_image_distance"] == image_d[-1]
+            assert report.measured["max_image_to_input_ratio"] == max(
+                img / inp if inp else 0.0
+                for img, inp in zip(image_d, input_d))
+            # the constructed point is the x that was measured, perturbed
+            # by the last usable scale
+            point = report.constructed_point
+            assert d_phase(point, x, space) == input_d[-1]
+            expected = chaos_analysis._perturbed(x, used[-1])
+            assert point.media.tobytes() == expected.media.tobytes()
+            assert d_strategy(point.strategy, expected.strategy, space) == 0.0
 
 
 class TestTracesAndScan:
@@ -581,8 +659,7 @@ class TestSerialization:
             witness_strong_transitivity(rest(2), 0.1, rest(2), SPACE2),
             witness_regularity(rest(2), 1e-2, SPACE2),
             expansivity_counterexample(0.5, 5, SPACE2),
-            continuity_report(rest(2),
-                              continuity_probe(rest(2), [1e-1, 1e-2], SPACE2)),
+            witness_continuity(rest(2), [1e-1, 1e-2], SPACE2)[0],
         ]
         assert [report.property for report in reports] == [
             "sensitivity", "strong_transitivity", "regularity",

@@ -305,6 +305,43 @@ class TestExitCodes:
         assert str(bad) in err
         assert "Traceback" not in err
 
+    # warnings raise, so a numpy overflow warning fails the test
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--bound-n", "8e307", "--r", "0.1"],
+        ["trace", "--pair", "random", "--bound-n", "8e307"],
+    ], ids=["scan", "trace"])
+    def test_media_overflow_prints_one_error_line(self, argv, capsys):
+        assert main(["analyze", *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: vector components must be finite\n"
+
+    def test_non_finite_report_is_usage_error(self, tmp_path, capsys):
+        # finite media an infinite distance apart give inf rows, which
+        # JSON cannot hold
+        argv = ["analyze", "trace", "--pair", "random", "--n-max", "3",
+                "--bound-n", "8e307", "--nv", "2", "--seed", "2"]
+        out = tmp_path / "t.json"
+        assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 2 and lines[0] == lines[1]
+        assert lines[0].startswith(
+            "error: Out of range float values are not JSON compliant")
+        # the CSV trace still writes the rows
+        assert main([*argv, "--format", "csv"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == "3,inf,inf"
+
+    def test_continuity_without_usable_scales_is_usage_error(self, capsys):
+        assert main(["analyze", "continuity", "--scales", "30,20",
+                     "--bound-n", "1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: no usable scales: every perturbation left the bound\n")
+
     def test_false_verdict_maps_to_one(self, tmp_path):
         # at tolerance 0 the exact hit's rounding residue fails the verdict
         out = tmp_path / "r.json"

@@ -10,7 +10,6 @@ from chaosmark import (
     TuringMachine,
     initial_configuration,
     parse_machine,
-    tape_window,
     tm_run,
 )
 from chaosmark import tm_encoding
@@ -129,7 +128,7 @@ class TestRuns:
         assert result.config.state == "accept"
         assert result.config.head == 3
         assert dict(result.config.cells) == {0: "1", 1: "1", 2: "1"}
-        assert tape_window(result.config, "#") == "111#"
+        assert result.config.window("#")[1] == "111#"
 
     def test_step_budget_stops_without_halting(self):
         config = initial_configuration(UNARY_INCREMENT, "11")
@@ -332,11 +331,11 @@ class TestConfigurations:
 
     def test_multicharacter_symbols_render_spaced(self):
         config = TmConfiguration({0: "10", 1: "#"}, 0, "s")
-        assert tape_window(config, "#") == "10 #"
+        assert config.window("#")[1] == "10 #"
 
     def test_empty_tape_window_defaults_to_head(self):
         config = TmConfiguration({}, 3, "s")
-        assert tape_window(config, "#") == "#"
+        assert config.window("#")[1] == "#"
         assert config.window("#") == (3, "#")
 
     def test_window_spans_written_cells_and_head(self):
@@ -381,7 +380,7 @@ class TestParser:
         config = initial_configuration(machine, "11")
         result = tm_run(machine, config, 100)
         assert result.steps == 3
-        assert tape_window(result.config, machine.blank) == "111#"
+        assert result.config.window(machine.blank)[1] == "111#"
 
     def test_comments_and_blank_lines_ignored(self):
         text = "; nothing\n\nstates: a\nalphabet: #\ninitial: a ; trailing\n"
