@@ -37,7 +37,7 @@ def main() -> int:
     total_errors = 0
     for scheme, cfg in configs:
         stego = embed(host, bits, carriers, cfg, scheme)
-        result = decode(stego, carriers, cfg, scheme)
+        result = decode(stego, carriers, scheme)
         errors = int(np.sum(result.bits != bits))
         total_errors += errors
         distortion = float(np.max(np.abs(stego - host)))

@@ -145,20 +145,19 @@ def phase_point_to_dict(x: PhasePoint) -> dict:
 # ---------- shared arithmetic ----------
 
 def ball_index(r: float) -> int:
-    """Decade index k0 of a radius: 10^-k0 <= r < 10^-k0+1, clamped at 0.
+    """Decade index k0 of a radius: the smallest k >= 0 with 10^-k <= r.
 
-    Radii of 1 or more clamp to 0 so constructions always have a valid
-    non-negative depth to work at.
+    Radii of 1 or more get 0, so constructions always have a valid
+    non-negative depth to work at.  The powers are float64 ones, and
+    10^-324 is 0.0, so every positive finite radius has an index.
     """
     r = float(r)
     if not (math.isfinite(r) and r > 0.0):
         raise ValueError(f"radius must be positive and finite, got {r!r}")
-    k0 = math.ceil(-math.log10(r))
-    while 10.0 ** (-k0) > r:  # guard against log10 rounding
+    k0 = 0
+    while 10.0 ** -k0 > r:
         k0 += 1
-    while k0 > 0 and 10.0 ** (-(k0 - 1)) <= r:
-        k0 -= 1
-    return max(0, k0)
+    return k0
 
 
 def _require_tolerance(tolerance: float) -> float:
@@ -560,10 +559,10 @@ def empirical_sensitivity_scan(x: PhasePoint, r: float, trials: int,
                                space: SpaceConfig) -> float:
     """Largest orbit separation found from perturbations inside B(x, r).
 
-    Trial 0 is the unperturbed baseline (so a single trial returns 0);
-    trial 1 is the constructive sensitivity witness, which anchors the
-    scan at the provable separation; remaining trials draw random
-    in-ball perturbations sub-seeded from (seed, trial index).
+    Trial 0 is x itself: it adds 0 and is not walked, so a single trial
+    returns 0.0.  Trial 1 is the constructive sensitivity witness, which
+    anchors the scan at the provable separation; remaining trials draw
+    random in-ball perturbations sub-seeded from (seed, trial index).
     Returns max over trials of max over steps 0..n_max of d_phase.
     More than MAX_ORBIT_WORK steps times nv, trials * (n_max + 1) * nv,
     raise BudgetExceeded before any trial runs.
@@ -574,10 +573,8 @@ def empirical_sensitivity_scan(x: PhasePoint, r: float, trials: int,
     r = float(r)
     k0 = ball_index(r)
     best = 0.0
-    for trial in range(trials):
-        if trial == 0:
-            perturbed = x
-        elif trial == 1:
+    for trial in range(1, trials):
+        if trial == 1:
             perturbed = witness_sensitivity(x, r, space).constructed_point
         else:
             perturbed = _random_ball_perturbation(x, r, k0, space, seed, trial)

@@ -8,12 +8,12 @@ Four command families:
     chaosmark tm       run a Turing machine description
 
 Exit codes: 0 success (and witness verdict true), 1 witness verdict
-false, 2 usage or parameter error, 3 I/O or parse error.  Reports are
-emitted with sorted keys and stable float formatting, so identical
-inputs produce byte-identical reports; every report embeds the full
-effective configuration.  Where randomness is needed the seed comes
-from --seed, falling back to the CHAOSMARK_SEED environment variable,
-then 0; a negative seed is a usage error.
+false, 2 usage or parameter error (or a refused allocation), 3 I/O or
+parse error.  Reports are emitted with sorted keys and stable float
+formatting, so identical inputs produce byte-identical reports; every
+report embeds the full effective configuration.  Where randomness is
+needed the seed comes from --seed, falling back to the CHAOSMARK_SEED
+environment variable, then 0; a negative seed is a usage error.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ def _cmd_decode(args) -> int:
         raise ValueError("--nc is required to decode")
     cfg = _scheme_config(args, nv, args.nc)
     carriers = generate_carriers(cfg)
-    result = decode(stego, carriers, cfg, args.scheme)
+    result = decode(stego, carriers, args.scheme)
     bitstring = fileio.bits_to_string(result.bits)
     if args.out:
         payload = _report("decode", _scheme_config_dict(cfg, args.scheme),
@@ -249,13 +249,13 @@ def _scan(args, space, seed, points):
 def _trace(args, space, seed, points):
     _require_tolerance(args.tolerance)
     _require_orbit_budget(1, args.n_max, space.nv)
-    x = next(points)
-    if args.pair == "sensitivity":
-        y = witness_sensitivity(x, args.r, space).constructed_point
-    elif args.pair == "expansivity":
+    if args.pair == "expansivity":
         x, y = expansivity_pair(args.eps, space)
+    elif args.pair == "sensitivity":
+        x = next(points)
+        y = witness_sensitivity(x, args.r, space).constructed_point
     else:
-        y = next(points)
+        x, y = next(points), next(points)
     trace = divergence_trace(x, y, args.n_max, space)
     return ({"pair": args.pair, "r": args.r, "eps": args.eps,
              "n_max": args.n_max}, {"trace": trace.to_dict()})
@@ -429,7 +429,7 @@ def main(argv=None) -> int:
     except (FormatError, MachineParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

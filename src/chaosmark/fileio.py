@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -20,6 +21,9 @@ import numpy as np
 from .phase_space import as_vector
 
 SCHEMA = "chaosmark/3"
+# Whitespace and #-comments to the end of their line, then one token.
+# Matched from where the last token ended, so none is found in a comment.
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
 
 
 class FormatError(ValueError):
@@ -114,21 +118,11 @@ def _read_vector_pgm(path: Path) -> np.ndarray:
 
     def token() -> bytes:
         nonlocal pos
-        while pos < len(blob):
-            ch = blob[pos:pos + 1]
-            if ch == b"#":
-                while pos < len(blob) and blob[pos:pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            elif ch.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(blob) and not blob[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
+        match = _PGM_TOKEN.match(blob, pos)
+        pos = match.end()
+        if not match[1]:
             raise FormatError(f"{path}: truncated PGM header")
-        return blob[start:pos]
+        return match[1]
 
     magic = token()
     if magic not in (b"P2", b"P5"):

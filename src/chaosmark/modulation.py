@@ -237,7 +237,7 @@ class DecodeResult:
         object.__setattr__(self, "ties", tuple(int(i) for i in self.ties))
 
 
-def decode(y, c: CarrierSet, cfg: SchemeConfig, scheme: str) -> DecodeResult:
+def decode(y, c: CarrierSet, scheme: str) -> DecodeResult:
     """Recover the message from a received vector by projection signs.
 
     ss/iss place bit 0 on the positive side of each carrier; nw places

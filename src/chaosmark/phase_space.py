@@ -156,19 +156,16 @@ class Strategy:
     def with_term(self, k: int, value) -> Strategy:
         """New strategy equal to this one except term k is ``value``.
 
-        A tail index first moves the terms up to k into the prefix, and
-        rotates the tail to match, so the change stays local to k.  Only
-        ``value`` is validated; the other terms are shared.
+        The result is terms 0..k-1, then ``value``, then this strategy
+        with its first k + 1 terms dropped.  Only ``value`` is
+        validated; every other term is shared.
         """
         if k < 0:
             raise IndexError(f"term index must be non-negative, got {k}")
-        prefix = [self.term(i) for i in range(max(len(self.prefix), k + 1))]
-        tail = self.tail
-        if tail:
-            rot = (len(prefix) - len(self.prefix)) % len(tail)
-            tail = tail[rot:] + tail[:rot]
-        prefix[k] = as_vector(value, self.dim)
-        return self._trusted(tuple(prefix), tail)
+        rest = _dropped(self, k + 1)
+        head = tuple(self.term(i) for i in range(k))
+        return self._trusted(head + (as_vector(value, self.dim),) + rest.prefix,
+                             rest.tail)
 
 
 def check_strategy_bounds(s: Strategy, bound_n: float,

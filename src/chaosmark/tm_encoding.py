@@ -18,7 +18,7 @@ the intermediate configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 MOVES = ("L", "R")

@@ -212,7 +212,7 @@ def test_criterion_6_round_trips_are_error_free(capsys):
             ("nw", SchemeConfig(**base, eta=0.8)),
         ]:
             got = decode(embed(host, bits, carriers, cfg, scheme),
-                         carriers, cfg, scheme)
+                         carriers, scheme)
             errors += int(np.sum(got.bits != bits)) + len(got.ties)
     ok = errors == 0
     announce(capsys, 6, ok,

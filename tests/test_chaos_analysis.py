@@ -79,13 +79,19 @@ class TestBallIndex:
             ball_index(r)
 
     def test_bracketing_invariant(self):
-        for exp in range(-12, 3):
-            for m in [1.0, 1.5, 9.9]:
-                r = m * 10.0 ** exp
-                k0 = ball_index(r)
-                assert 10.0 ** (-k0) <= r
-                if k0 > 0:
-                    assert r < 10.0 ** (-(k0 - 1))
+        radii = [m * 10.0 ** exp for exp in range(-12, 3)
+                 for m in [1.0, 1.5, 9.9]]
+        # every decade edge and its neighbouring doubles, then the extremes
+        for exp in range(-323, 309):
+            edge = 10.0 ** exp
+            radii += [math.nextafter(edge, 0.0), edge,
+                      math.nextafter(edge, math.inf)]
+        radii += [5e-324, sys.float_info.max]
+        for r in radii:
+            k0 = ball_index(r)
+            assert 10.0 ** (-k0) <= r
+            if k0 > 0:
+                assert r < 10.0 ** (-(k0 - 1))
 
 
 class TestSensitivity:
@@ -497,6 +503,28 @@ class TestTracesAndScan:
 
     def test_single_trial_scan_is_zero(self):
         assert empirical_sensitivity_scan(rest(2), 0.1, 1, 5, 0, SPACE2) == 0.0
+        # one trial walks nothing, even where x's own orbit overflows
+        x = PhasePoint(Strategy(2, [[1e308, 0.0]]), [1e308, 0.0])
+        assert empirical_sensitivity_scan(x, 0.1, 1, 5, 0, SPACE2) == 0.0
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="must be finite"):
+            empirical_sensitivity_scan(x, 0.1, 2, 5, 0, SPACE2)
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 7])
+    def test_scan_walks_once_per_trial(self, trials, monkeypatch):
+        walks = []
+        walk = chaos_analysis._orbit_distances
+
+        def counted(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(chaos_analysis, "_orbit_distances", counted)
+        best = empirical_sensitivity_scan(rest(2), 0.1, trials, 5, 0, SPACE2)
+        # trial 0 is x itself and is not walked; trial 1's witness is
+        # walked inside witness_sensitivity and again by the scan
+        assert len(walks) == (trials if trials > 1 else 0)
+        assert best == 0.0 if trials == 1 else best >= 10.0
 
     def test_second_trial_anchors_at_witness_separation(self):
         best = empirical_sensitivity_scan(rest(2), 0.1, 2, 5, 0, SPACE2)

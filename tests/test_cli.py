@@ -1,5 +1,6 @@
 """Command line surface: round trips, report determinism, exit codes, formats."""
 
+import collections
 import csv
 import io
 import json
@@ -10,6 +11,7 @@ import pytest
 from chaosmark import (SchemeConfig, chaos_analysis, cli, fileio,
                        generate_carriers, tm_encoding)
 from chaosmark.cli import EXIT_FALSE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from pgm_oracle import read_vector_pgm
 
 MACHINE_TEXT = """\
 states:   scan accept
@@ -20,6 +22,52 @@ halting:  accept
 scan 1 -> scan 1 R
 scan # -> accept 1 R
 """
+
+
+# PGM separators: every byte bytes.isspace() accepts, and CRLF.
+PGM_SPACES = (b" ", b"\t", b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c")
+PGM_COMMENTS = (b"#", b"# c", b"## 2 2", b"#P2 1 1 255 0", b"#\x0b\x0c 7")
+
+
+def pgm_blob(rng) -> bytes:
+    """A seeded PGM file: valid, near-valid, truncated, or comments only."""
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    def sep():
+        out = b"".join(pick(PGM_SPACES) for _ in range(rng.integers(1, 3)))
+        if rng.random() < 0.3:
+            out += pick(PGM_COMMENTS) + pick((b"\n", b"\r\n", b"\r", b""))
+        return out
+
+    if rng.random() < 0.05:
+        return b"".join(pick(PGM_COMMENTS) + pick(PGM_SPACES)
+                        for _ in range(rng.integers(0, 4)))
+    magic = pick((b"P2", b"P5") * 10 + (b"P6", b"P", b"p2", b"P2#", b"P5x"))
+    width, height = (int(v) for v in rng.integers(1, 4, 2))
+    maxval = pick((3, 255, 255, 300, 65535, 0, 70000))
+    head = [magic, str(width).encode(), str(height).encode(),
+            str(maxval).encode()]
+    if rng.random() < 0.1:
+        head[int(rng.integers(1, 4))] = pick((b"x", b"2#3", b"-1", b"0",
+                                              b"1.5"))
+    blob = sep()[:int(rng.integers(0, 2))]
+    blob += b"".join(t + sep() for t in head[:3])
+    count = width * height
+    if magic == b"P5":
+        # one whitespace byte ends the header, unless the draw says otherwise
+        blob += head[3] + (sep() if rng.random() < 0.2
+                           else pick(PGM_SPACES)[:1])
+        size = count * (2 if maxval > 255 else 1) + int(rng.integers(-1, 2))
+        blob += rng.bytes(max(size, 0))
+    else:
+        blob += head[3] + sep()
+        samples = max(count + int(rng.integers(-1, 2)), 0)
+        for v in rng.integers(-1, maxval + 2, samples):
+            blob += pick((str(v).encode(),) * 8 + (b"1#2", b"z")) + sep()
+    if rng.random() < 0.2:
+        blob = blob[:int(rng.integers(0, len(blob) + 1))]
+    return blob
 
 
 @pytest.fixture
@@ -205,6 +253,18 @@ class TestExitCodes:
         assert err.startswith("error: an orbit walk of ")
         assert err.endswith(f"needs {work} step-components, "
                             "more than MAX_ORBIT_WORK=1000000\n")
+
+    def test_out_of_memory_is_usage_error(self, capsys, monkeypatch):
+        def refused(*args):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array with "
+                              "shape (1000000000,) and data type float64")
+
+        monkeypatch.setattr(cli, "random_phase_point", refused)
+        assert main(["analyze", "sensitivity", "--r", "0.1",
+                     "--nv", "1000000000"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate 7.45 GiB ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("r", ["1e-307", "1e-320"])
     def test_scan_draws_past_the_largest_power_of_ten(self, r, capsys):
@@ -395,6 +455,16 @@ class TestAnalyze:
         main(["analyze", "sensitivity", "--r", "0.1", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_expansivity_trace_draws_no_point(self, capsys, monkeypatch):
+        def undrawn(*args):
+            raise AssertionError("a start point was drawn")
+
+        monkeypatch.setattr(cli, "random_phase_point", undrawn)
+        assert main(["analyze", "trace", "--pair", "expansivity",
+                     "--n-max", "3"]) == EXIT_OK
+        trace = json.loads(capsys.readouterr().out)["trace"]
+        assert len(trace["points"]) == 4
+
     def test_transitivity_and_continuity(self, tmp_path):
         out = tmp_path / "t.json"
         assert main(["analyze", "transitivity", "--r-a", "0.1",
@@ -573,6 +643,26 @@ class TestFileio:
             path.write_bytes(blob)
             with pytest.raises(fileio.FormatError):
                 fileio.read_vector(path)
+
+    def test_pgm_reader_matches_the_byte_loop_oracle(self, tmp_path):
+        def outcome(read, path):
+            try:
+                arr = read(path)
+            except fileio.FormatError as exc:
+                return "error", str(exc)
+            return "array", arr.dtype.str, arr.shape, arr.tobytes()
+
+        rng = np.random.default_rng(2010)
+        path = tmp_path / "blob.pgm"
+        kinds = collections.Counter()
+        for _ in range(3000):
+            path.write_bytes(pgm_blob(rng))
+            got = outcome(fileio.read_vector, path)
+            assert got == outcome(read_vector_pgm, path), path.read_bytes()
+            kinds[got[0] if got[0] == "array"
+                  else got[1].split(": ")[1].split(" (")[0]] += 1
+        # arrays and each of the reader's eight error messages
+        assert kinds["array"] >= 200 and len(kinds) == 9, kinds
 
     def test_message_parsing(self):
         assert fileio.parse_message_text("0b1011", 4).tolist() == [1, 0, 1, 1]

@@ -256,8 +256,8 @@ class TestNormalizedScheme:
         y0 = embed(host, [0, 0], carriers, conf, "nw")
         y1 = embed(host, [1, 1], carriers, conf, "nw")
         assert np.array_equal(y0, -y1)
-        assert decode(y0, carriers, conf, "nw").bits.tolist() == [0, 0]
-        assert decode(y1, carriers, conf, "nw").bits.tolist() == [1, 1]
+        assert decode(y0, carriers, "nw").bits.tolist() == [0, 0]
+        assert decode(y1, carriers, "nw").bits.tolist() == [1, 1]
 
 
 class TestDecode:
@@ -271,19 +271,19 @@ class TestDecode:
             host = rng.standard_normal(24)
             m = rng.integers(0, 2, size=6)
             y = embed(host, m, c, conf, scheme)
-            got = decode(y, c, conf, scheme)
+            got = decode(y, c, scheme)
             assert got.bits.tolist() == m.tolist()
             assert got.ties == ()
 
     @pytest.mark.parametrize("scheme", ["ss", "iss", "nw"])
     def test_zero_vector_decodes_to_flagged_ties(self, scheme):
-        got = decode([0.0, 0.0], EYE2, cfg(), scheme)
+        got = decode([0.0, 0.0], EYE2, scheme)
         assert got.bits.tolist() == [0, 0]
         assert got.ties == (0, 1)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
-            decode([1.0, 1.0], EYE2, cfg(), "css")
+            decode([1.0, 1.0], EYE2, "css")
         with pytest.raises(ValueError):
             watermark_strategy("css", [0.0, 0.0], [0, 0], EYE2, cfg())
 

@@ -159,9 +159,15 @@ class TestStrategy:
         assert t.term(3).tolist() == [7.0, 7.0]
         for k in [0, 1, 2, 4, 5]:
             assert t.term(k).tolist() == [1.0, 1.0]
+        zero_tail = Strategy(2, ([1.0, 1.0],))
+        t = zero_tail.with_term(3, [7.0, 7.0])
+        assert t.term(3).tolist() == [7.0, 7.0] and t.tail == ()
+        for k in [1, 2, 4, 5]:
+            assert t.term(k).tolist() == [0.0, 0.0]
+        assert t.term(0).tolist() == [1.0, 1.0]
 
     @pytest.mark.parametrize("period", [2, 3, 4])
-    @pytest.mark.parametrize("prefix_len", [0, 2])
+    @pytest.mark.parametrize("prefix_len", [0, 2, 6])
     @pytest.mark.parametrize("k", [0, 1, 3, 5, 9, 14, 41])
     def test_with_term_deep_in_a_periodic_tail(self, period, prefix_len, k):
         rng = np.random.default_rng([period, prefix_len, k])
@@ -177,6 +183,7 @@ class TestStrategy:
         for j in range(k + 3 * period + 2):
             want = value if j == k else oracle.term(j).tolist()
             assert t.term(j).tolist() == want
+            assert (t.term(j) is s.term(j)) == (j != k)
 
     @pytest.mark.parametrize("s", [
         Strategy(1, ([1.0], [2.0])),
