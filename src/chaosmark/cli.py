@@ -19,6 +19,7 @@ environment variable, then 0; a negative seed is a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -329,7 +330,11 @@ def _add_analyze_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and reused by every main call.
+    Handlers given to set_defaults are bound at that first build, so a test
+    that patches cli._cmd_* or an analysis must call cache_clear() first."""
     parser = argparse.ArgumentParser(
         prog="chaosmark",
         description="Spread-spectrum data hiding run as a dynamical system, "

@@ -24,7 +24,7 @@ from types import MappingProxyType
 MOVES = ("L", "R")
 MAX_TAPE_CELLS = 10**6
 # Most steps one run may take.  A two-state machine bouncing between two
-# cells runs 10^7 steps in 3.5 s (Python 3.11, shared 2-core x86 VM).
+# cells runs 10^7 steps in 2.9-4.1 s (Python 3.11, shared 2-core x86 VM).
 MAX_TM_STEPS = 10**7
 
 
@@ -178,8 +178,8 @@ def tm_run(machine: TuringMachine, config: TmConfiguration,
            max_steps: int) -> TmRunResult:
     """Run up to max_steps transitions from config.
 
-    Copies config's tape once, applies each rule to that working tape in
-    place, and freezes it into one configuration at return.
+    Copies config's tape and the rules (moves as +1/-1) once, steps that
+    working tape in place, and freezes it into one configuration at return.
 
     Returns:
         TmRunResult with the final configuration, the number of steps
@@ -195,14 +195,15 @@ def tm_run(machine: TuringMachine, config: TmConfiguration,
     if max_steps > MAX_TM_STEPS:
         raise BudgetExceeded(f"max_steps {max_steps} exceeds "
                              f"MAX_TM_STEPS={MAX_TM_STEPS}")
-    cells, limit = dict(config.cells), MAX_TAPE_CELLS
-    head, state, steps = config.head, config.state, 0
-    halting, rules, blank = machine.halting_states, machine.transitions, machine.blank
-    while True:
+    cells, head, state = dict(config.cells), config.head, config.state
+    halting, blank, limit = machine.halting_states, machine.blank, MAX_TAPE_CELLS
+    rules = {key: (nxt, write, 1 if move == "R" else -1)
+             for key, (nxt, write, move) in machine.transitions.items()}
+    for steps in range(max_steps + 1):
         if state in halting:
             reason = "halt_state"
             break
-        if steps >= max_steps:
+        if steps == max_steps:
             reason = "step_limit"
             break
         rule = rules.get((state, cells.get(head, blank)))
@@ -214,8 +215,7 @@ def tm_run(machine: TuringMachine, config: TmConfiguration,
             raise BudgetExceeded(
                 f"tape would exceed MAX_TAPE_CELLS={limit} cells "
                 f"at step {steps + 1}")
-        head += 1 if move == "R" else -1
-        steps += 1
+        head += move
     return TmRunResult(TmConfiguration(cells, head, state), steps, reason)
 
 

@@ -1,5 +1,6 @@
 """Command line surface: round trips, report determinism, exit codes, formats."""
 
+import argparse
 import collections
 import csv
 import io
@@ -581,6 +582,113 @@ class TestTm:
         err = capsys.readouterr().err
         assert err.startswith("error: tape and head span more than")
         assert "Traceback" not in err
+
+
+# One call of each command family and analysis, a usage error, help at two
+# widths, and seeds taken from CHAOSMARK_SEED as it changes.  A (name,
+# value) entry sets that environment variable, or unsets it for None.
+REUSE_SEQUENCE = (
+    ("CHAOSMARK_SEED", None),
+    ("COLUMNS", "80"),
+    ["embed", "--scheme", "iss", "--host", "host.json", "--key", "3",
+     "--message", "1011", "--out", "stego.json"],
+    ["decode", "--scheme", "iss", "--stego", "stego.json", "--key", "3",
+     "--nc", "4", "--out", "decoded.json"],
+    ["analyze", "sensitivity"],
+    ("CHAOSMARK_SEED", "3"),
+    ["analyze", "sensitivity", "--r", "0.1"],
+    ["analyze", "transitivity", "--r-a", "0.1", "--out", "t.json"],
+    ("CHAOSMARK_SEED", "7"),
+    ["analyze", "regularity", "--eps", "1e-3", "--format", "csv"],
+    ["analyze", "expansivity", "--eps", "0.5", "--bound-n", "1"],
+    ["analyze", "continuity", "--nv", "3"],
+    ("CHAOSMARK_SEED", None),
+    ["analyze", "scan", "--r", "0.1", "--trials", "3", "--n-max", "4"],
+    ["analyze", "trace", "--pair", "random", "--n-max", "3",
+     "--format", "csv"],
+    ("COLUMNS", "60"),
+    ["--help"],
+    ("COLUMNS", "120"),
+    ["analyze", "trace", "--help"],
+    ["--help"],
+    ["tm", "--machine", "inc.tm", "--tape", "111", "--out", "tm.json"],
+    ["tm", "--machine", "inc.tm", "--tape", "11", "--format", "csv"],
+)
+
+
+class TestParserReuse:
+    def test_main_builds_the_parser_once(self, tmp_path, monkeypatch, capsys):
+        built = collections.Counter()
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built[kwargs.get("prog", "")] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli.build_parser.cache_clear()
+        cli.build_parser()
+        one_build = +built
+        assert sum(one_build.values()) == 12
+        built.clear()
+        cli.build_parser.cache_clear()
+        machine = tmp_path / "inc.tm"
+        machine.write_text(MACHINE_TEXT)
+        assert main(["tm", "--machine", str(machine), "--tape", "1"]) == EXIT_OK
+        assert main(["analyze", "expansivity", "--eps", "0.5",
+                     "--n-max", "2"]) == EXIT_OK
+        assert main(["analyze", "sensitivity"]) == EXIT_USAGE
+        capsys.readouterr()
+        assert built == one_build
+
+    def run_sequence(self, workdir, monkeypatch, capsys, fresh):
+        """Run REUSE_SEQUENCE in workdir; return every output and file."""
+        monkeypatch.chdir(workdir)
+        fileio.write_vector("host.json",
+                            np.random.default_rng(4).standard_normal(16))
+        (workdir / "inc.tm").write_text(MACHINE_TEXT)
+        cli.build_parser.cache_clear()
+        outputs = []
+        for step in REUSE_SEQUENCE:
+            if isinstance(step, tuple):
+                name, value = step
+                if value is None:
+                    monkeypatch.delenv(name, raising=False)
+                else:
+                    monkeypatch.setenv(name, value)
+                continue
+            if fresh:
+                cli.build_parser.cache_clear()
+            code = main(list(step))
+            outputs.append((code, *capsys.readouterr()))
+        files = {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
+        info = cli.build_parser.cache_info()
+        return outputs, files, (info.hits, info.misses)
+
+    def test_one_parser_answers_like_a_fresh_one_per_call(
+            self, tmp_path, monkeypatch, capsys):
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        shared.mkdir()
+        fresh.mkdir()
+        calls = sum(isinstance(step, list) for step in REUSE_SEQUENCE)
+        got = self.run_sequence(shared, monkeypatch, capsys, fresh=False)
+        want = self.run_sequence(fresh, monkeypatch, capsys, fresh=True)
+        assert (got[2], want[2]) == ((calls - 1, 1), (0, 1))
+        assert got[:2] == want[:2]
+        codes = [code for code, _, _ in got[0]]
+        assert codes == [0, 0, 2] + [0] * (calls - 3)
+        usage_error = got[0][2][2]
+        assert usage_error.startswith("usage: chaosmark analyze sensitivity")
+        assert "the following arguments are required: --r" in usage_error
+        outs = [out for _, out, _ in got[0]]
+        assert '"seed": 3,' in outs[3] and "config.seed,7" in outs[5]
+        assert '"seed": 7,' in outs[7] and '"seed": 0,' in outs[8]
+        narrow, wide = outs[10], outs[12]
+        assert narrow.startswith("usage: chaosmark [-h]")
+        assert max(map(len, narrow.splitlines())) <= 60 < max(
+            map(len, wide.splitlines()))
+        assert {"stego.json", "stego.json.meta.json", "decoded.json",
+                "t.json", "tm.json"} <= set(got[1])
 
 
 class TestFileio:
