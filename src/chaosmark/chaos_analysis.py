@@ -167,6 +167,13 @@ def _require_tolerance(tolerance: float) -> float:
     return tolerance
 
 
+def _require_eps(eps: float) -> float:
+    eps = float(eps)
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    return eps
+
+
 def _require_orbit_budget(walks: int, n_max: int, nv: int) -> None:
     """Raise BudgetExceeded if walks orbits of n_max + 1 steps at nv
     exceed MAX_ORBIT_WORK; n_max must be a non-negative integer."""
@@ -194,7 +201,7 @@ def witness_sensitivity(x: PhasePoint, r: float, space: SpaceConfig,
     """
     tolerance = _require_tolerance(tolerance)
     k0 = ball_index(r)
-    n = float(space.bound_n)
+    n = space.bound_n
     half = 0.5 * n
     term_index = k0 + 1
     current = float(x.strategy.term(term_index)[0])
@@ -284,7 +291,7 @@ def witness_strong_transitivity(x_a: PhasePoint, r_a: float, x_b: PhasePoint,
             f"endpoint dimensions differ: {x_a.dim} vs {x_b.dim}")
     r_a = float(r_a)
     k0 = ball_index(r_a)
-    bound = float(space.bound_n)
+    bound = space.bound_n
 
     depth = k0
     while True:
@@ -337,11 +344,9 @@ def witness_regularity(x: PhasePoint, eps: float, space: SpaceConfig,
     next one within 2*10^-(n0+1) < eps: the loop deepens at most once.
     """
     tolerance = _require_tolerance(tolerance)
-    eps = float(eps)
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    eps = _require_eps(eps)
     nv = x.dim
-    n = float(space.bound_n)
+    n = space.bound_n
     n0 = ball_index(eps)
     if 10.0 ** (-n0) == eps:
         n0 += 1
@@ -379,10 +384,8 @@ def expansivity_pair(eps: float, space: SpaceConfig,
     Y's strategy alternates +eps/2 and -eps/2 in component 0 forever;
     both points start from zero media.
     """
-    eps = float(eps)
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    n = float(space.bound_n)
+    eps = _require_eps(eps)
+    n = space.bound_n
     nv = space.nv
     if eps / 2.0 > n:
         raise BoundViolation(
@@ -411,7 +414,7 @@ def expansivity_counterexample(eps: float, n_max: int, space: SpaceConfig,
     tolerance = _require_tolerance(tolerance)
     _require_orbit_budget(1, n_max, space.nv)
     eps = float(eps)
-    n = float(space.bound_n)
+    n = space.bound_n
     nv = space.nv
     rest, flipper = expansivity_pair(eps, space)
     sup_distance = max(d for d, _ in
@@ -490,7 +493,7 @@ def witness_continuity(x: PhasePoint, scales, space: SpaceConfig,
     max_ratio = max((img / inp if inp else 0.0)
                     for img, inp in zip(image_d, input_d))
 
-    n = float(space.bound_n)
+    n = space.bound_n
     report = WitnessReport(
         property="continuity",
         inputs={"scales": list(used), "skipped_scales": list(skipped),
@@ -528,7 +531,7 @@ def divergence_trace(x: PhasePoint, y: PhasePoint, n_max: int,
     return OrbitTrace(
         points=rows,
         meta={"kind": "divergence", "n_max": n_max, "nv": x.dim,
-              "bound_n": float(space.bound_n)},
+              "bound_n": space.bound_n},
     )
 
 
@@ -538,7 +541,7 @@ def _random_ball_perturbation(x: PhasePoint, r: float, k0: int,
     # Sub-seeded from (seed, trial) so trial order and parallel
     # evaluation cannot change results.
     rng = np.random.default_rng([seed, trial])
-    n = float(space.bound_n)
+    n = space.bound_n
     nv = x.dim
     frac = rng.uniform(0.1, 0.9)
     media_budget = 0.5 * r * frac
@@ -592,7 +595,7 @@ def random_phase_point(seed, space: SpaceConfig) -> PhasePoint:
     block of 1 or 2 such terms, with equal probability.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    n = float(space.bound_n)
+    n = space.bound_n
     nv = space.nv
     media = rng.uniform(-n / 2.0, n / 2.0, nv)
     prefix = tuple(rng.uniform(-n, n, nv)

@@ -22,15 +22,16 @@ import argparse
 import functools
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import fileio
 from .chaos_analysis import (
     DEFAULT_TOLERANCE,
+    _require_eps,
     _require_orbit_budget,
     _require_tolerance,
+    ball_index,
     divergence_trace,
     empirical_sensitivity_scan,
     expansivity_counterexample,
@@ -48,7 +49,7 @@ from .phase_space import SpaceConfig, d_inf
 from .tm_encoding import (
     MachineParseError,
     initial_configuration,
-    load_machine,
+    parse_machine,
     tm_run,
 )
 
@@ -73,25 +74,6 @@ def _seed_of(args) -> int:
     if seed < 0:
         raise ValueError(f"{source} must be a non-negative integer, got {seed}")
     return seed
-
-
-def _report(command: str, config: dict, **body) -> dict:
-    """Report envelope: schema, command and effective config, then the body."""
-    return {"schema": fileio.SCHEMA, "command": command, "config": config,
-            **body}
-
-
-def _emit(payload: dict, fmt: str, out, kind: str = "kv") -> None:
-    if fmt == "json":
-        text = fileio.render_json(payload)
-    elif kind == "trace":
-        text = fileio.render_trace_csv(payload)
-    else:
-        text = fileio.render_kv_csv(payload)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
 
 
 # ---------- embed / decode ----------
@@ -125,23 +107,14 @@ def _scheme_config_dict(cfg: SchemeConfig, scheme: str) -> dict:
     }
 
 
-def _resolve_message(args) -> tuple[str, int | None]:
+def _message_text(args) -> str:
     if args.message is not None and args.message_file is not None:
         raise ValueError("give either --message or --message-file, not both")
     if args.message is not None:
-        text = args.message
-    elif args.message_file is not None:
-        text = fileio.read_text(args.message_file)
-    else:
-        raise ValueError("a message is required: --message or --message-file")
-    text = text.strip()
-    if args.nc is not None:
-        if args.nc < 1:
-            raise ValueError(f"nc must be a positive integer, got {args.nc!r}")
-        return text, args.nc
-    if text.lower().startswith("0x"):
-        raise ValueError("--nc is required when the message is hex")
-    return text, len(text[2:] if text.lower().startswith("0b") else text)
+        return args.message
+    if args.message_file is not None:
+        return fileio.read_text(args.message_file)
+    raise ValueError("a message is required: --message or --message-file")
 
 
 def _cmd_embed(args) -> int:
@@ -149,19 +122,18 @@ def _cmd_embed(args) -> int:
     nv = args.nv if args.nv is not None else int(host.size)
     if host.size != nv:
         raise ValueError(f"host has {host.size} components but --nv is {nv}")
-    text, nc = _resolve_message(args)
-    bits = fileio.parse_message_text(text, nc)
-    cfg = _scheme_config(args, nv, nc)
+    bits = fileio.parse_message_text(_message_text(args), args.nc)
+    cfg = _scheme_config(args, nv, bits.size)
     carriers = generate_carriers(cfg)
     stego = embed(host, bits, carriers, cfg, args.scheme)
     fileio.write_vector(args.out, stego)
 
-    meta = _report("embed", _scheme_config_dict(cfg, args.scheme),
-                   host=str(args.host), stego=str(args.out),
-                   distortion_inf=d_inf(stego, host))
+    meta = fileio.report("embed", _scheme_config_dict(cfg, args.scheme),
+                         host=str(args.host), stego=str(args.out),
+                         distortion_inf=d_inf(stego, host))
     meta_path = args.meta if args.meta else f"{args.out}.meta.json"
-    Path(meta_path).write_text(fileio.render_json(meta), encoding="utf-8")
-    print(f"embedded {nc} bits with {args.scheme} into {args.out} "
+    fileio.emit(meta, "json", meta_path)
+    print(f"embedded {cfg.nc} bits with {args.scheme} into {args.out} "
           f"(distortion_inf={meta['distortion_inf']!r}, meta={meta_path})")
     return EXIT_OK
 
@@ -178,10 +150,10 @@ def _cmd_decode(args) -> int:
     result = decode(stego, carriers, args.scheme)
     bitstring = fileio.bits_to_string(result.bits)
     if args.out:
-        payload = _report("decode", _scheme_config_dict(cfg, args.scheme),
-                          stego=str(args.stego), bits=bitstring,
-                          ties=list(result.ties))
-        Path(args.out).write_text(fileio.render_json(payload), encoding="utf-8")
+        payload = fileio.report("decode", _scheme_config_dict(cfg, args.scheme),
+                                stego=str(args.stego), bits=bitstring,
+                                ties=list(result.ties))
+        fileio.emit(payload, "json", args.out)
     print(bitstring)
     if result.ties:
         print(f"warning: zero projection on carriers {list(result.ties)}; "
@@ -250,6 +222,9 @@ def _scan(args, space, seed, points):
 def _trace(args, space, seed, points):
     _require_tolerance(args.tolerance)
     _require_orbit_budget(1, args.n_max, space.nv)
+    # the report records both values, whichever of them the pair uses
+    ball_index(args.r)
+    _require_eps(args.eps)
     if args.pair == "expansivity":
         x, y = expansivity_pair(args.eps, space)
     elif args.pair == "sensitivity":
@@ -268,28 +243,29 @@ def _cmd_analyze(args) -> int:
     extra, body = args.analyze(args, space, seed, _start_points(seed, space))
     config = {"nv": space.nv, "bound_n": space.bound_n, "seed": seed,
               "tolerance": args.tolerance, **extra}
-    _emit(_report(f"analyze {args.analysis}", config, **body), args.format,
-          args.out, kind="trace" if args.analysis == "trace" else "kv")
+    fileio.emit(fileio.report(f"analyze {args.analysis}", config, **body),
+                args.format, args.out,
+                kind="trace" if args.analysis == "trace" else "kv")
     return EXIT_OK if body.get("report", {}).get("verdict", True) else EXIT_FALSE
 
 
 # ---------- tm ----------
 
 def _cmd_tm(args) -> int:
-    machine = load_machine(args.machine)
+    machine = parse_machine(fileio.read_text(args.machine))
     if args.tape is not None and args.tape_file is not None:
         raise ValueError("give either --tape or --tape-file, not both")
     if args.tape_file is not None:
         tape = fileio.read_text(args.tape_file).strip()
     else:
         tape = args.tape or ""
-    config = initial_configuration(machine, tape, args.head)
-    result = tm_run(machine, config, args.max_steps)
-    payload = _report("tm", {"machine": str(args.machine), "tape": tape,
-                             "head": args.head, "max_steps": args.max_steps},
-                      result=result.to_dict(machine))
+    start = initial_configuration(machine, tape, args.head)
+    result = tm_run(machine, start, args.max_steps)
+    config = {"machine": str(args.machine), "tape": tape, "head": args.head,
+              "max_steps": args.max_steps}
+    payload = fileio.report("tm", config, result=result.to_dict(machine))
     if args.out or args.format == "csv":
-        _emit(payload, args.format, args.out)
+        fileio.emit(payload, args.format, args.out)
     else:
         verb = "halted" if result.halted else "stopped"
         print(f"{verb} after {result.steps} steps ({result.reason}); "

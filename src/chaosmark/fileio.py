@@ -4,8 +4,10 @@ Vectors travel as JSON objects {"nv": n, "data": [...]}, as
 single-column CSV (one component per line), or read-only as PGM images
 (P2/P5, single channel, flattened row-major).  Messages are bit
 strings, plain or 0b-prefixed, or 0x-prefixed hex rendered MSB-first
-into exactly nc bits.  Reports serialize with sorted keys and fixed
-layout so identical runs produce byte-identical files.
+into exactly nc bits.  Reports carry one envelope (schema, command,
+config) and serialize with sorted keys and fixed layout so identical
+runs produce byte-identical files.  This module is the only one that
+reads or writes a file.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import hashlib
 import json
 import re
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -159,17 +162,22 @@ def _read_vector_pgm(path: Path) -> np.ndarray:
 
 # ---------- messages ----------
 
-def parse_message_text(text: str, nc: int) -> np.ndarray:
-    """Parse a message literal into exactly nc bits.
+def parse_message_text(text: str, nc: int | None) -> np.ndarray:
+    """Parse a message literal into nc bits.
 
-    Accepts a bit string ("0101" or "0b0101", length nc) or hex
-    ("0x2a"), whose integer value is rendered MSB-first into nc bits
-    and must fit.
+    Accepts a bit string ("0101" or "0b0101", of length nc; with nc None
+    its length is the width) or hex ("0x2a"), whose integer value is
+    rendered MSB-first into nc bits and must fit.  An nc below 1, or hex
+    without nc, raises ValueError; a malformed literal, FormatError.
     """
+    if nc is not None and nc < 1:
+        raise ValueError(f"nc must be a positive integer, got {nc!r}")
     text = text.strip()
     if not text:
         raise FormatError("empty message")
     if text.lower().startswith("0x"):
+        if nc is None:
+            raise ValueError("--nc is required when the message is hex")
         try:
             value = int(text, 16)
         except ValueError as exc:
@@ -184,7 +192,7 @@ def parse_message_text(text: str, nc: int) -> np.ndarray:
     if not text or set(text) - {"0", "1"}:
         raise FormatError(
             "message must be a bit string (optionally 0b-prefixed) or 0x-prefixed hex")
-    if len(text) != nc:
+    if nc is not None and len(text) != nc:
         raise FormatError(f"message has {len(text)} bits, expected {nc}")
     return np.array([int(ch) for ch in text], dtype=np.uint8)
 
@@ -198,6 +206,26 @@ def bits_to_string(bits) -> str:
 def key_fingerprint(key: int) -> str:
     """Short stable digest of an embedding key; never the key itself."""
     return hashlib.sha256(struct.pack("<Q", key)).hexdigest()[:16]
+
+
+def report(command: str, config: dict, **body) -> dict:
+    """Report envelope: schema, command and effective config, then the body."""
+    return {"schema": SCHEMA, "command": command, "config": config, **body}
+
+
+def emit(payload: dict, fmt: str, out, kind: str = "kv") -> None:
+    """Write a report as JSON or CSV (the trace layout for kind "trace",
+    else key-value) to the file out, or to stdout when out is empty."""
+    if fmt == "json":
+        text = render_json(payload)
+    elif kind == "trace":
+        text = render_trace_csv(payload)
+    else:
+        text = render_kv_csv(payload)
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def render_json(payload: dict) -> str:

@@ -84,8 +84,9 @@ class SpaceConfig:
     """Phase-space parameters.
 
     nv       media dimension (and strategy term dimension)
-    bound_n  component bound N: strategy terms live in [-N, N], so
-             termwise distances reach 2N, which must be finite
+    bound_n  component bound N, stored as a float: strategy terms live
+             in [-N, N], so termwise distances reach 2N, which must be
+             finite
     """
 
     nv: int
@@ -97,6 +98,7 @@ class SpaceConfig:
         if not (math.isfinite(2.0 * self.bound_n) and self.bound_n > 0):
             raise ValueError("bound_n must be positive with 2 * bound_n "
                              f"finite, got {self.bound_n!r}")
+        object.__setattr__(self, "bound_n", float(self.bound_n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,7 +287,7 @@ def _series_exact(s: Strategy, t: Strategy) -> tuple[int, int]:
 
 def _scaled(num: int, den: int, space: SpaceConfig) -> float:
     """(9/N) * num / den, rounded once (int division is correctly rounded)."""
-    a, b = float(space.bound_n).as_integer_ratio()
+    a, b = space.bound_n.as_integer_ratio()
     return (9 * b * num) / (a * den)
 
 

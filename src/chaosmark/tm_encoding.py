@@ -288,13 +288,3 @@ def parse_machine(text: str) -> TuringMachine:
         )
     except ValueError as exc:
         raise MachineParseError(str(exc)) from exc
-
-
-def load_machine(path) -> TuringMachine:
-    """Parse a machine description file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise MachineParseError(f"{path}: not UTF-8 text: {exc}") from exc
-    return parse_machine(text)

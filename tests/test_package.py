@@ -16,7 +16,7 @@ def test_star_import_binds_every_exported_name():
 
 
 def test_exported_names_are_pinned():
-    assert len(chaosmark.__all__) == 48
+    assert len(chaosmark.__all__) == 47
     assert sorted(chaosmark.__all__) == sorted("""
         BoundViolation BudgetExceeded CarrierError CarrierSet
         DEFAULT_TOLERANCE DecodeResult DimensionMismatch MachineParseError
@@ -26,7 +26,7 @@ def test_exported_names_are_pinned():
         ball_index check_strategy_bounds d_inf d_phase d_strategy decode
         divergence_trace embed
         empirical_sensitivity_scan expansivity_counterexample expansivity_pair
-        generate_carriers initial_configuration iterate_g load_machine
+        generate_carriers initial_configuration iterate_g
         parse_machine phase_point_to_dict random_phase_point shift
         strategy_to_dict tm_run watermark_strategy witness_continuity
         witness_regularity witness_sensitivity witness_strong_transitivity
