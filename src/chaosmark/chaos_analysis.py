@@ -38,12 +38,11 @@ from .phase_space import (
     PhasePoint,
     SpaceConfig,
     Strategy,
+    _frozen,
+    _head,
     _orbit_distances,
-    as_vector,
-    basis_vector,
     d_phase,
     iterate_g,
-    zeros_vector,
 )
 from .tm_encoding import BudgetExceeded
 
@@ -130,10 +129,10 @@ class OrbitTrace:
 def strategy_to_dict(s: Strategy) -> dict:
     return {
         "dim": s.dim,
-        "prefix": [t.tolist() for t in s.prefix],
+        "prefix": s.prefix.tolist(),
         "tail": {
-            "kind": "periodic" if s.tail else "zero",
-            "block": [t.tolist() for t in s.tail],
+            "kind": "periodic" if len(s.tail) else "zero",
+            "block": s.tail.tolist(),
         },
     }
 
@@ -204,15 +203,9 @@ def witness_sensitivity(x: PhasePoint, r: float, space: SpaceConfig,
     n = space.bound_n
     half = 0.5 * n
     term_index = k0 + 1
-    current = float(x.strategy.term(term_index)[0])
-    if abs(current) >= half:
-        target = 0.0
-    elif current >= 0.0:
-        target = n
-    else:
-        target = -n
     changed = np.array(x.strategy.term(term_index), dtype=np.float64)
-    changed[0] = target
+    current = float(changed[0])
+    changed[0] = 0.0 if abs(current) >= half else n if current >= 0.0 else -n
     witness = PhasePoint(x.strategy.with_term(term_index, changed), x.media)
 
     steps = k0 + 2
@@ -257,13 +250,14 @@ def _transitivity_candidate(x_a: PhasePoint, x_b: PhasePoint, depth: int,
         raise BudgetExceeded(
             f"the transitivity splice needs {count:.15g} correction terms, "
             f"more than MAX_CORRECTION_TERMS={MAX_CORRECTION_TERMS}")
-    corrections: list[np.ndarray] = []
-    for k, (gap, n) in enumerate(zip(gaps.tolist(), pieces.tolist())):
-        corrections += [basis_vector(nv, k, gap / n)] * int(n)
-    lead = tuple(x_a.strategy.term(k) for k in range(depth))
+    # component k's gap as n equal pieces gap / n, on n rows in turn
+    rows = np.repeat(np.arange(nv), pieces.astype(int))
+    corrections = np.zeros((len(rows), nv))
+    corrections[np.arange(len(rows)), rows] = (gaps / pieces)[rows]
     target = x_b.strategy
-    prefix = lead + tuple(corrections) + target.prefix
-    candidate = PhasePoint(target._trusted(prefix, target.tail), x_a.media)
+    prefix = _frozen(np.concatenate([_head(x_a.strategy, depth), corrections,
+                                     target.prefix]))
+    candidate = PhasePoint(Strategy(nv, prefix, target.tail), x_a.media)
     return (candidate, depth + len(corrections), len(corrections),
             int(np.count_nonzero(pieces > 1)))
 
@@ -351,12 +345,10 @@ def witness_regularity(x: PhasePoint, eps: float, space: SpaceConfig,
     if 10.0 ** (-n0) == eps:
         n0 += 1
 
-    plus = as_vector(np.full(nv, n))
-    minus = as_vector(np.full(nv, -n))
     while True:
-        lead = tuple(x.strategy.term(k) for k in range(n0 + 1))
-        tail = (plus, minus) if (n0 + 1) % 2 == 0 else (minus, plus)
-        candidate = PhasePoint(x.strategy._trusted(lead, tail), x.media)
+        tail = _frozen(np.outer([n, -n], np.ones(nv)) * (-1.0) ** (n0 + 1))
+        candidate = PhasePoint(Strategy(nv, _head(x.strategy, n0 + 1), tail),
+                               x.media)
         distance = d_phase(candidate, x, space)
         if distance < eps:
             break
@@ -390,10 +382,10 @@ def expansivity_pair(eps: float, space: SpaceConfig,
     if eps / 2.0 > n:
         raise BoundViolation(
             f"eps/2 = {eps / 2.0} exceeds the strategy bound {n}")
-    rest = PhasePoint(Strategy(nv), zeros_vector(nv))
-    up = basis_vector(nv, 0, eps / 2.0)
-    down = basis_vector(nv, 0, -eps / 2.0)
-    flipper = PhasePoint(Strategy(nv, (), (up, down)), zeros_vector(nv))
+    rest = PhasePoint(Strategy(nv), np.zeros(nv))
+    flips = np.zeros((2, nv))
+    flips[:, 0] = eps / 2.0, -eps / 2.0
+    flipper = PhasePoint(Strategy(nv, (), _frozen(flips)), np.zeros(nv))
     return rest, flipper
 
 
@@ -552,8 +544,7 @@ def _random_ball_perturbation(x: PhasePoint, r: float, k0: int,
     # below the budget's still keeps the perturbation inside the ball
     cap = min(strategy_budget * (n / 9.0) * 10.0 ** min(depth, 308)
               * 10.0 ** max(depth - 308, 0), np.finfo(float).max / 2)
-    term = np.array(x.strategy.term(depth), dtype=np.float64)
-    term = np.clip(term + rng.uniform(-cap, cap, nv), -n, n)
+    term = np.clip(x.strategy.term(depth) + rng.uniform(-cap, cap, nv), -n, n)
     return PhasePoint(x.strategy.with_term(depth, term), media)
 
 
@@ -598,11 +589,7 @@ def random_phase_point(seed, space: SpaceConfig) -> PhasePoint:
     n = space.bound_n
     nv = space.nv
     media = rng.uniform(-n / 2.0, n / 2.0, nv)
-    prefix = tuple(rng.uniform(-n, n, nv)
-                   for _ in range(int(rng.integers(0, 4))))
-    if rng.random() < 0.5:
-        tail = ()
-    else:
-        tail = tuple(rng.uniform(-n, n, nv)
-                     for _ in range(int(rng.integers(1, 3))))
+    prefix = rng.uniform(-n, n, (int(rng.integers(0, 4)), nv))
+    periodic = rng.random() >= 0.5
+    tail = rng.uniform(-n, n, (int(rng.integers(1, 3)), nv)) if periodic else ()
     return PhasePoint(Strategy(nv, prefix, tail), media)

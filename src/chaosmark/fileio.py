@@ -185,8 +185,8 @@ def parse_message_text(text: str, nc: int | None) -> np.ndarray:
         if value >= 1 << nc:
             raise FormatError(
                 f"hex message {text!r} does not fit in {nc} bits")
-        bits = [(value >> (nc - 1 - i)) & 1 for i in range(nc)]
-        return np.array(bits, dtype=np.uint8)
+        raw = np.frombuffer(value.to_bytes((nc + 7) // 8, "big"), np.uint8)
+        return np.unpackbits(raw)[-nc:]
     if text.lower().startswith("0b"):
         text = text[2:]
     if not text or set(text) - {"0", "1"}:
@@ -194,7 +194,7 @@ def parse_message_text(text: str, nc: int | None) -> np.ndarray:
             "message must be a bit string (optionally 0b-prefixed) or 0x-prefixed hex")
     if nc is not None and len(text) != nc:
         raise FormatError(f"message has {len(text)} bits, expected {nc}")
-    return np.array([int(ch) for ch in text], dtype=np.uint8)
+    return np.frombuffer(text.encode("ascii"), np.uint8) - ord("0")
 
 
 def bits_to_string(bits) -> str:

@@ -196,7 +196,7 @@ def watermark_strategy(scheme: str, x, m, c: CarrierSet,
                 raise ZeroProjectionError(
                     f"host is orthogonal to carrier {bad}; nw cannot encode against it")
             coef = -(1.0 + cfg.eta * signs * np.sign(proj)) * proj / norms2
-    out = Strategy(c.nv, tuple(coef[:, None] * c.matrix))
+    out = Strategy(c.nv, coef[:, None] * c.matrix)
     check_strategy_bounds(out, cfg.bound_n, context=_BOUND_CONTEXT[scheme])
     return out
 

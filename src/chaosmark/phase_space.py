@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, cycle, islice, repeat
 
 import numpy as np
 
@@ -63,22 +64,6 @@ def as_vector(values, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def zeros_vector(dim: int) -> np.ndarray:
-    arr = np.zeros(dim, dtype=np.float64)
-    arr.setflags(write=False)
-    return arr
-
-
-def basis_vector(dim: int, index: int, value: float = 1.0) -> np.ndarray:
-    """Standard basis vector e_index scaled by ``value`` (0-based index)."""
-    if not 0 <= index < dim:
-        raise IndexError(f"basis index {index} out of range for dim {dim}")
-    arr = np.zeros(dim, dtype=np.float64)
-    arr[index] = value
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class SpaceConfig:
     """Phase-space parameters.
@@ -101,49 +86,57 @@ class SpaceConfig:
         object.__setattr__(self, "bound_n", float(self.bound_n))
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr, made read-only in place."""
+    arr.setflags(write=False)
+    return arr
+
+
+def _block(values, dim: int) -> np.ndarray:
+    """Read-only float64 (k, dim) block of finite terms, k >= 0; one
+    over memory nothing can write is taken as it is, the rest copied."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.shape == (0,):
+        arr = arr.reshape(0, dim)
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise DimensionMismatch(
+            f"expected a (k, {dim}) block of terms, got shape {arr.shape}")
+    # count_nonzero skips the Python wrapper around .all()
+    if np.count_nonzero(np.isfinite(arr)) < arr.size:
+        raise ValueError("vector components must be finite")
+    base = arr
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is None:  # nothing under arr can be written
+        return arr
+    return _frozen(arr.copy() if arr is values or arr.base is not None else arr)
+
+
 @dataclass(frozen=True, eq=False)
 class Strategy:
     """Eventually periodic sequence of update vectors.
 
-    ``prefix`` holds the leading terms explicitly.  ``tail`` is the
-    repeating block that follows; an empty tail means the sequence is
-    zero from the end of the prefix on.  Instances are immutable; all
-    editing helpers return new strategies.
-
-    The constructor copies and validates every term into a read-only
-    float64 vector.  Strategies derived from one (``shift``,
-    ``with_term``) share its term arrays instead of copying them.
+    ``prefix`` holds the leading terms, one per row of a read-only
+    float64 (k, dim) block; ``tail`` is the repeating block that follows,
+    and an empty (0, dim) tail means zeros from there on.  The
+    constructor, the only way to build one, takes vectors or arrays and
+    copies writable input; ``shift`` and ``with_term`` share slices.
     """
 
     dim: int
-    prefix: tuple[np.ndarray, ...] = ()
-    tail: tuple[np.ndarray, ...] = ()
+    prefix: np.ndarray = ()
+    tail: np.ndarray = ()
 
     def __post_init__(self) -> None:
         if not isinstance(self.dim, int) or self.dim < 1:
             raise DimensionMismatch(f"dim must be a positive integer, got {self.dim!r}")
-        object.__setattr__(self, "prefix",
-                           tuple(as_vector(t, self.dim) for t in self.prefix))
-        object.__setattr__(self, "tail",
-                           tuple(as_vector(t, self.dim) for t in self.tail))
-        object.__setattr__(self, "_zero", zeros_vector(self.dim))
-
-    def _trusted(self, prefix: tuple, tail: tuple) -> Strategy:
-        """Strategy of this dimension over terms that are already valid.
-
-        Every term must be a read-only finite float64 vector of length
-        dim, such as a term of a Strategy or a ``basis_vector``.  The
-        terms and the zero vector are shared, neither copied nor checked.
-        """
-        out = object.__new__(Strategy)
-        out.__dict__.update(dim=self.dim, prefix=prefix, tail=tail,
-                            _zero=self._zero)
-        return out
+        object.__setattr__(self, "prefix", _block(self.prefix, self.dim))
+        object.__setattr__(self, "tail", _block(self.tail, self.dim))
 
     @property
     def period(self) -> int:
         """Length of the repeating block (1 for the zero tail)."""
-        return len(self.tail) if self.tail else 1
+        return len(self.tail) or 1
 
     def term(self, k: int) -> np.ndarray:
         """The k-th sequence element (0-based), total over all k >= 0."""
@@ -151,52 +144,67 @@ class Strategy:
             raise IndexError(f"term index must be non-negative, got {k}")
         if k < len(self.prefix):
             return self.prefix[k]
-        if self.tail:
+        if len(self.tail):
             return self.tail[(k - len(self.prefix)) % len(self.tail)]
-        return self._zero
+        return _frozen(np.zeros(self.dim))
 
     def with_term(self, k: int, value) -> Strategy:
         """New strategy equal to this one except term k is ``value``.
 
         The result is terms 0..k-1, then ``value``, then this strategy
-        with its first k + 1 terms dropped.  Only ``value`` is
-        validated; every other term is shared.
+        with its first k + 1 terms dropped, whose tail it shares.
         """
         if k < 0:
             raise IndexError(f"term index must be non-negative, got {k}")
-        rest = _dropped(self, k + 1)
-        head = tuple(self.term(i) for i in range(k))
-        return self._trusted(head + (as_vector(value, self.dim),) + rest.prefix,
-                             rest.tail)
+        rest, tail = _rest(self, k + 1)
+        value = as_vector(value, self.dim)[None]
+        prefix = np.concatenate([_head(self, k), value, rest])
+        return Strategy(self.dim, _frozen(prefix), tail)
 
 
 def check_strategy_bounds(s: Strategy, bound_n: float,
                           context: str = "strategy") -> None:
     """Raise BoundViolation if any term component leaves [-N, N]."""
-    worst = max((float(np.max(np.abs(t))) for t in s.prefix + s.tail),
-                default=0.0)
+    worst = max(float(np.abs(block).max(initial=0.0))
+                for block in (s.prefix, s.tail))
     if worst > bound_n:
         raise BoundViolation(
             f"{context} term component {worst!r} exceeds bound {bound_n!r}")
 
 
-def _dropped(s: Strategy, n: int) -> Strategy:
-    """n >= 1 steps of shift at once, sharing the terms that remain."""
+def _head(s: Strategy, n: int) -> np.ndarray:
+    """Terms 0..n-1 of s as one read-only (n, dim) block."""
     if n <= len(s.prefix):
-        return s._trusted(s.prefix[n:], s.tail)
-    if s.tail:
-        rot = (n - len(s.prefix)) % len(s.tail)
-        return s._trusted((), s.tail[rot:] + s.tail[:rot])
-    return s._trusted((), ()) if s.prefix else s
+        return s.prefix[:n]
+    period = s.tail if len(s.tail) else np.zeros((1, s.dim))
+    reps = -(-(n - len(s.prefix)) // len(period))
+    return _frozen(np.concatenate([s.prefix, *[period] * reps]))[:n]
+
+
+def _terms(s: Strategy):
+    """Iterator over the terms of s in order, one row each, without end."""
+    rest = cycle(s.tail) if len(s.tail) else repeat(_frozen(np.zeros(s.dim)))
+    return chain(s.prefix, rest)
+
+
+def _rest(s: Strategy, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix and tail of s with its first n >= 1 terms dropped: slices
+    of its blocks, except that a periodic tail rotates a copy."""
+    h = len(s.prefix)
+    if n <= h or not len(s.tail):
+        return s.prefix[n:], s.tail
+    rot = (n - h) % len(s.tail)
+    return s.prefix[h:], _frozen(np.concatenate([s.tail[rot:], s.tail[:rot]]))
+
+
+def _dropped(s: Strategy, n: int) -> Strategy:
+    """n >= 1 steps of shift at once; the zero strategy is returned as is."""
+    return Strategy(s.dim, *_rest(s, n)) if len(s.prefix) or len(s.tail) else s
 
 
 def shift(s: Strategy) -> Strategy:
-    """Drop the first sequence element.
-
-    With an empty prefix the periodic tail rotates by one; the zero
-    strategy is a fixed point.  The result shares the terms of s, so a
-    step costs no copy or validation of the terms that remain.
-    """
+    """Drop the first sequence element: a prefix slice, else a copy of
+    the tail rotated by one; the zero strategy is a fixed point."""
     return _dropped(s, 1)
 
 
@@ -235,10 +243,10 @@ def iterate_g(x: PhasePoint, n: int) -> PhasePoint:
         raise ValueError(f"iteration count must be a non-negative integer, got {n!r}")
     if not n:
         return x
-    s, media = x.strategy, x.media
-    for k in range(n):
-        media = s.term(k) + media
-    return PhasePoint(_dropped(s, n), media)
+    media = x.media
+    for term in islice(_terms(x.strategy), n):
+        media = term + media
+    return PhasePoint(_dropped(x.strategy, n), media)
 
 
 # ---------- metric ----------
@@ -252,9 +260,9 @@ def d_inf(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).max())
 
 
-def _term_gap(s: Strategy, t: Strategy, k: int) -> int:
-    """d_inf(s_k, t_k) as an integer multiple of 2^-UNIT_BITS."""
-    num, den = d_inf(s.term(k), t.term(k)).as_integer_ratio()
+def _term_gap(u: np.ndarray, v: np.ndarray) -> int:
+    """d_inf(u, v) as an integer multiple of 2^-UNIT_BITS."""
+    num, den = d_inf(u, v).as_integer_ratio()
     return num << (UNIT_BITS + 1 - den.bit_length())
 
 
@@ -276,11 +284,12 @@ def _series_exact(s: Strategy, t: Strategy) -> tuple[int, int]:
         raise BudgetExceeded(
             f"the strategy series needs {head_len + p} terms, "
             f"more than MAX_SERIES_TERMS={MAX_SERIES_TERMS}")
+    pairs = zip(_terms(s), _terms(t))
     head = block = 0
-    for k in range(head_len):
-        head = head * 10 + _term_gap(s, t, k)
-    for k in range(head_len, head_len + p):
-        block = block * 10 + _term_gap(s, t, k)
+    for u, v in islice(pairs, head_len):
+        head = head * 10 + _term_gap(u, v)
+    for u, v in islice(pairs, p):
+        block = block * 10 + _term_gap(u, v)
     repunit = 10**p - 1
     return 10 * (head * repunit + block), (10**head_len * repunit) << UNIT_BITS
 
@@ -319,7 +328,8 @@ def _orbit_distances(x: PhasePoint, y: PhasePoint, n_max: int,
 
     The one walker of two orbits builds no point.  The strategy series
     is summed once, then stepped by the exact shift recurrence
-    S' = 10 * (S - d_inf(s_k, t_k)), which reads no term once S is 0.
+    S' = 10 * (S - d_inf(s_k, t_k)), which takes no termwise distance
+    once S is 0.
     Every distance equals d_phase of the points iterate_g builds, and
     a media that overflows raises ValueError.
     """
@@ -327,12 +337,14 @@ def _orbit_distances(x: PhasePoint, y: PhasePoint, n_max: int,
         raise DimensionMismatch(f"point dimensions differ: {x.dim} vs {y.dim}")
     s, t = x.strategy, y.strategy
     num, den = _series_exact(s, t)
+    terms = zip(_terms(s), _terms(t))
     a, b = x.media, y.media
     for k in range(n_max + 1):
         if k:
+            u, v = next(terms)
             if num:
-                num = 10 * (num - (den >> UNIT_BITS) * _term_gap(s, t, k - 1))
-            a, b = s.term(k - 1) + a, t.term(k - 1) + b
+                num = 10 * (num - (den >> UNIT_BITS) * _term_gap(u, v))
+            a, b = u + a, v + b
         media = d_inf(a, b)
         # finite media can still lie an infinite distance apart
         if not (math.isfinite(media)

@@ -212,7 +212,8 @@ class TestStrongTransitivity:
         def unbuilt(*args):
             raise AssertionError("a correction term was built")
 
-        monkeypatch.setattr(chaos_analysis, "basis_vector", unbuilt)
+        # np.repeat lays out the corrections, and nothing before it calls it
+        monkeypatch.setattr(chaos_analysis.np, "repeat", unbuilt)
         monkeypatch.setattr(chaos_analysis, "MAX_CORRECTION_TERMS", 3)
         with pytest.raises(BudgetExceeded,
                            match=r"needs 4 correction terms.*MAX_CORRECTION_TERMS=3"):
@@ -720,3 +721,21 @@ class TestRandomPoint:
         x = random_phase_point(rng, SPACE2)
         y = random_phase_point(rng, SPACE2)
         assert d_phase(x, y, SPACE2) > 0.0
+
+
+class TestStrategyToDict:
+    """The (k, nv) blocks serialize as the nested lists of their rows."""
+
+    @pytest.mark.parametrize("strategy,expected", [
+        (Strategy(2),
+         '{"dim": 2, "prefix": [], "tail": {"block": [], "kind": "zero"}}'),
+        (Strategy(2, (), ([1.5, -2.0], [0.0, 3.0])),
+         '{"dim": 2, "prefix": [], "tail": {"block": [[1.5, -2.0], [0.0, 3.0]], '
+         '"kind": "periodic"}}'),
+        (Strategy(1, ([0.1], [-0.0], [1e-300])),
+         '{"dim": 1, "prefix": [[0.1], [-0.0], [1e-300]], '
+         '"tail": {"block": [], "kind": "zero"}}'),
+    ], ids=["zero", "periodic", "prefix-only"])
+    def test_json_bytes(self, strategy, expected):
+        got = json.dumps(chaos_analysis.strategy_to_dict(strategy), sort_keys=True)
+        assert got == expected

@@ -801,6 +801,34 @@ class TestFileio:
             with pytest.raises(fileio.FormatError):
                 fileio.parse_message_text(bad, nc)
 
+    @staticmethod
+    def _list_layout(text, nc):
+        """The per-bit Python list layout the array layout replaced."""
+        if text.lower().startswith("0x"):
+            value = int(text, 16)
+            bits = [(value >> (nc - 1 - i)) & 1 for i in range(nc)]
+        else:
+            bits = [int(ch) for ch in text.removeprefix("0b")]
+        return np.array(bits, dtype=np.uint8)
+
+    def test_message_bits_match_the_list_layout(self):
+        rng = np.random.default_rng(16)
+        cases = []
+        for nc in range(1, 71):
+            # both edges of the width: the lowest and the highest bit
+            for value in {0, 1, 1 << (nc - 1), (1 << nc) - 1}:
+                cases.append((hex(value), nc))
+                cases.append(("0b" + format(value, f"0{nc}b"), nc))
+        for nc in [*rng.integers(71, 10**4, 20).tolist(), 10**4]:
+            value = int("".join(map(str, rng.integers(0, 2, nc))), 2)
+            cases.append((hex(value | 1 << (nc - 1)), nc))
+            cases.append((format(value, f"0{nc}b"), nc))
+        for text, nc in cases:
+            got = fileio.parse_message_text(text, nc)
+            want = self._list_layout(text, nc)
+            assert got.dtype == want.dtype and got.shape == want.shape == (nc,)
+            assert got.tobytes() == want.tobytes(), (text, nc)
+
     def test_message_width_defaults_to_the_bit_string(self):
         assert fileio.parse_message_text(" 0b1011\n", None).tolist() == [1, 0, 1, 1]
         assert fileio.parse_message_text("011", None).tolist() == [0, 1, 1]

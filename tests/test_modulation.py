@@ -130,7 +130,7 @@ class TestSpreadSpectrum:
         assert s.term(0).tolist() == [2.0, 0.0]
         assert s.term(1).tolist() == [0.0, -2.0]
         assert s.term(2).tolist() == [0.0, 0.0]
-        assert not s.tail
+        assert s.tail.shape == (0, 2)
 
     def test_embed_adds_watermark_to_host(self):
         host = np.array([0.25, -1.5])

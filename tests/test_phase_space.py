@@ -1,6 +1,9 @@
 """Phase space: shift dynamics, iteration, and the metric."""
 
+import math
+import re
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -39,9 +42,11 @@ media_components = st.floats(min_value=-100.0, max_value=100.0,
 
 def unroll(s, count):
     """The same sequence as s, with count tail terms moved into the prefix."""
-    extra = tuple(s.term(len(s.prefix) + i) for i in range(count))
-    rot = count % len(s.tail) if s.tail else 0
-    return Strategy(s.dim, s.prefix + extra, s.tail[rot:] + s.tail[:rot])
+    extra = [s.term(len(s.prefix) + i) for i in range(count)]
+    rot = count % len(s.tail) if len(s.tail) else 0
+    return Strategy(s.dim,
+                    np.concatenate([s.prefix, np.reshape(extra, (count, s.dim))]),
+                    np.concatenate([s.tail[rot:], s.tail[:rot]]))
 
 
 def vectors(dim, elements=components):
@@ -115,10 +120,12 @@ class TestStrategy:
     def test_shift_shares_terms(self):
         s = Strategy(2, ([1.0, 2.0], [3.0, 4.0]), ([5.0, 6.0], [7.0, 8.0]))
         t = shift(s)
-        assert t.prefix[0] is s.prefix[1]
-        assert all(a is b for a, b in zip(t.tail, s.tail))
+        assert np.shares_memory(t.prefix, s.prefix)
+        assert t.prefix.tolist() == [[3.0, 4.0]] and t.tail is s.tail
         u = shift(shift(t))
-        assert u.tail[0] is s.tail[1] and u.tail[1] is s.tail[0]
+        # a rotation copies one period
+        assert u.tail.tolist() == [[7.0, 8.0], [5.0, 6.0]]
+        assert not np.shares_memory(u.tail, s.tail)
 
     @pytest.mark.parametrize("s", [
         Strategy(2, ([1.0, 2.0], [3.0, 4.0]), ([5.0, 6.0],)),
@@ -132,7 +139,7 @@ class TestStrategy:
         derived.append(s.with_term(3, [9.0, 9.0]))
         for t in derived:
             shift_oracle.assert_valid_terms(t)
-            for term in t.prefix + t.tail:
+            for term in [*t.prefix, *t.tail]:
                 with pytest.raises(ValueError):
                     term[0] = 0.0
 
@@ -161,7 +168,7 @@ class TestStrategy:
             assert t.term(k).tolist() == [1.0, 1.0]
         zero_tail = Strategy(2, ([1.0, 1.0],))
         t = zero_tail.with_term(3, [7.0, 7.0])
-        assert t.term(3).tolist() == [7.0, 7.0] and t.tail == ()
+        assert t.term(3).tolist() == [7.0, 7.0] and t.tail.shape == (0, 2)
         for k in [1, 2, 4, 5]:
             assert t.term(k).tolist() == [0.0, 0.0]
         assert t.term(0).tolist() == [1.0, 1.0]
@@ -183,7 +190,10 @@ class TestStrategy:
         for j in range(k + 3 * period + 2):
             want = value if j == k else oracle.term(j).tolist()
             assert t.term(j).tolist() == want
-            assert (t.term(j) is s.term(j)) == (j != k)
+            if j != k:
+                assert t.term(j).tobytes() == s.term(j).tobytes()
+        # the tail is shared unless the drop past term k rotated it
+        assert np.shares_memory(t.tail, s.tail) == (k < prefix_len)
 
     @pytest.mark.parametrize("s", [
         Strategy(1, ([1.0], [2.0])),
@@ -208,10 +218,9 @@ class TestStrategy:
 
 
 def same_terms(u, v):
-    """u and v store the very same term objects, prefix and tail alike."""
-    return (len(u.prefix) == len(v.prefix) and len(u.tail) == len(v.tail)
-            and all(a is b for a, b in zip(u.prefix + u.tail,
-                                           v.prefix + v.tail)))
+    """u and v hold bit-identical blocks, prefix and tail alike."""
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in ((u.prefix, v.prefix), (u.tail, v.tail)))
 
 
 def shifted(s, n):
@@ -230,37 +239,120 @@ class TestDrop:
     def test_inside_the_prefix(self, n):
         got = phase_space._dropped(self.S, n)
         assert same_terms(got, shifted(self.S, n))
-        assert got.prefix == self.S.prefix[n:] and got.tail is self.S.tail
+        assert np.shares_memory(got.prefix, self.S.prefix)
+        assert got.prefix.tolist() == self.S.prefix[n:].tolist()
+        assert got.tail is self.S.tail
 
     def test_to_the_end_of_the_prefix(self):
         got = phase_space._dropped(self.S, 3)
         assert same_terms(got, shifted(self.S, 3))
-        assert got.prefix == () and got.tail is self.S.tail
+        assert got.prefix.shape == (0, 2) and got.tail is self.S.tail
 
     @pytest.mark.parametrize("n", [3, 4, 9])
     def test_past_the_prefix_into_a_zero_tail(self, n):
         s = Strategy(2, ([1.0, 2.0], [3.0, 4.0]))
         got = phase_space._dropped(s, n)
         assert same_terms(got, shifted(s, n))
-        assert got.prefix == got.tail == ()
-        assert got.term(0) is s.term(5)
+        assert got.prefix.shape == got.tail.shape == (0, 2)
+        assert got.term(0).tolist() == s.term(5).tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 11, 3001])
     def test_past_the_prefix_into_a_periodic_tail(self, n):
         got = phase_space._dropped(self.S, n)
         assert same_terms(got, shifted(self.S, n))
         rot = (n - 3) % 3
-        assert got.prefix == ()
-        assert all(a is b for a, b in zip(
-            got.tail, self.S.tail[rot:] + self.S.tail[:rot]))
+        assert got.prefix.shape == (0, 2)
+        assert got.tail.tolist() == np.concatenate(
+            [self.S.tail[rot:], self.S.tail[:rot]]).tolist()
         for k in range(7):
-            assert got.term(k) is self.S.term(n + k)
+            assert got.term(k).tobytes() == self.S.term(n + k).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 50])
     def test_zero_strategy_is_returned_as_it_is(self, n):
         z = Strategy(3)
         assert phase_space._dropped(z, n) is z
         assert shifted(z, n) is z
+
+
+class TestBlocks:
+    """Prefix and tail are read-only (k, dim) float64 blocks."""
+
+    def test_drop_shift_and_with_term_share_memory(self):
+        s = Strategy(2, ([1.0, 2.0], [3.0, 4.0], [5.0, 6.0]), ([7.0, 8.0],))
+        for derived in (phase_space._dropped(s, 2), shift(s)):
+            assert np.shares_memory(derived.prefix, s.prefix)
+            assert derived.tail is s.tail
+        edited = s.with_term(0, [9.0, 9.0])
+        assert edited.tail is s.tail
+        assert edited.prefix.tolist() == [[9.0, 9.0], [3.0, 4.0], [5.0, 6.0]]
+
+    def test_writable_source_is_copied(self):
+        prefix, tail = np.ones((3, 2)), np.full((2, 2), 2.0)
+        rows = [np.ones(2), np.ones(2)]
+        s = Strategy(2, prefix, tail)
+        t = Strategy(2, rows)
+        prefix[0, 0] = tail[1, 1] = rows[0][0] = 7.0
+        assert s.prefix.tolist() == [[1.0, 1.0]] * 3
+        assert s.tail.tolist() == [[2.0, 2.0]] * 2
+        assert t.prefix.tolist() == [[1.0, 1.0]] * 2
+        for block in (s.prefix, s.tail, t.prefix):
+            assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[0, 0] = 0.0
+
+    def test_read_only_block_is_taken_as_it_is(self):
+        block = np.arange(6.0).reshape(3, 2).copy()
+        block.setflags(write=False)
+        s = Strategy(2, block, block[1:])
+        assert s.prefix is block and np.shares_memory(s.tail, block)
+
+    def test_read_only_view_of_writable_memory_is_copied(self):
+        base = np.arange(6.0).reshape(3, 2)
+        view = base.view()
+        view.setflags(write=False)
+        s = Strategy(2, view, view[1:])
+        base[:] = math.nan
+        assert s.prefix.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+        assert s.tail.tolist() == [[2.0, 3.0], [4.0, 5.0]]
+        assert not np.shares_memory(s.prefix, base)
+        assert not np.shares_memory(s.tail, base)
+
+    def test_terms_past_a_zero_tail_are_read_only(self):
+        s = Strategy(2, [[1.0, 2.0]])
+        walked = phase_space._terms(s)
+        for t in (s.term(1), s.term(7), *islice(walked, 4)):
+            assert not t.flags.writeable
+        assert s.term(3).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("prefix", [(), np.empty((0, 3)), [[1.0, 2.0, 3.0]]])
+    @pytest.mark.parametrize("tail", [(), np.empty((0, 3)), [[4.0, 5.0, 6.0]]])
+    def test_empty_blocks(self, prefix, tail):
+        s = Strategy(3, prefix, tail)
+        assert s.prefix.shape == (len(prefix), 3)
+        assert s.tail.shape == (len(tail), 3)
+        assert s.period == max(len(tail), 1)
+        expected = [*np.reshape(prefix, (-1, 3)).tolist(),
+                    *(np.reshape(tail, (-1, 3)).tolist() * 3 or [[0.0] * 3] * 3)]
+        assert [s.term(k).tolist() for k in range(len(expected))] == expected
+        walked = iterate_g(PhasePoint(s, [0.0, 0.0, 0.0]), 4)
+        assert walked.strategy.prefix.shape == (0, 3)
+        check_strategy_bounds(s, 6.0)
+
+    @pytest.mark.parametrize("block,shape", [
+        ([1.0, 2.0], (2,)),
+        (np.empty((0, 3)), (0, 3)),
+        (np.ones((2, 2, 1)), (2, 2, 1)),
+    ])
+    def test_misshapen_blocks_are_rejected(self, block, shape):
+        for parts in ((block, ()), ((), block)):
+            with pytest.raises(DimensionMismatch,
+                               match=rf"expected a \(k, 2\) block of terms, got shape {re.escape(str(shape))}"):
+                Strategy(2, *parts)
+
+    def test_nonfinite_terms_are_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="components must be finite"):
+                Strategy(2, (), [[1.0, bad]])
 
 
 class TestMap:
@@ -312,7 +404,7 @@ class TestMap:
             want = term + want
         got = iterate_g(x, 10**4)
         assert got.media.tobytes() == want.tobytes()
-        assert got.strategy.prefix == () and got.strategy.tail == ()
+        assert got.strategy.prefix.shape == got.strategy.tail.shape == (0, 10)
 
     def test_point_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
