@@ -23,7 +23,7 @@ from chaosmark import (
 def print_trace(title: str, trace) -> None:
     print(title)
     print(f"  {'step':>4s}  {'d_phase':>12s}  {'d_inf_media':>12s}")
-    for step, d, m in trace.points:
+    for step, d, m in trace.to_dict()["points"]:
         print(f"  {step:>4d}  {d:>12.6f}  {m:>12.6f}")
     print()
 

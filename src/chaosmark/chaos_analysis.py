@@ -39,8 +39,8 @@ from .phase_space import (
     SpaceConfig,
     Strategy,
     _frozen,
-    _head,
     _orbit_distances,
+    _rows,
     d_phase,
     iterate_g,
 )
@@ -57,14 +57,21 @@ DEFAULT_TOLERANCE = 1e-9
 # the splice takes 5-10 ms.
 MAX_CORRECTION_TERMS = 10**4
 # Most orbit steps times nv that one scan, trace or expansivity run may
-# walk, counted before any point is drawn.  Up to nv ~ 10^3 a step costs
-# 8 to 20 us whatever nv is, so the slowest walks at the budget are at
-# nv 1.  On a shared 2-core x86 VM through the CLI, as its load varied:
-# at nv 8, a scan of 125000 steps takes 0.7-1.4 s and a trace 1.1-2.5 s;
-# at nv 1, a scan of 10^6 steps 4.4-8.9 s and a trace 9.7-20 s, peaking
-# at about 655 MiB for its rows.  The default scan (500 trials of 21
+# walk, counted before any point is drawn.  The walker takes 2-4 us a
+# step up to nv 64 (22 us at nv 1000), but building and seeding a scan
+# trial takes about 0.13 ms, which the budget does not count.  On a
+# shared 2-core x86 VM through the CLI: at nv 8, a trace of 125000 steps
+# takes 1.6 s and a scan of 5000 trials of 25 steps 1.2 s; at nv 1, a
+# scan of 50000 trials of 20 steps 7.9 s, 100000 trials of one step
+# 13 s, and a trace of 10^6 steps 12 s, peaking at 667 MiB while its
+# JSON report is built and written.  The default scan (500 trials of 21
 # steps at nv 8) uses 84000.
 MAX_ORBIT_WORK = 10**6
+# Most scan trials built and walked beside x at once: 10^5 built trials
+# at nv 1 took 70 MiB.  Through the CLI, a scan of 5000 trials at nv 8
+# peaked at 46 MiB with fans of 2^12, 39 MiB with 2^10 and 35 MiB one
+# trial at a time; the default scan's 499 trials walk as one fan.
+_SCAN_FAN = 2**10
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,20 +113,22 @@ class WitnessReport:
 class OrbitTrace:
     """Per-step distance records between two orbits.
 
-    points rows are (step, d_phase, d_inf_media).  meta carries the
-    generating parameters (and, for the continuity witness, the
-    parallel list of input distances).
+    points is a float64 array with one (step, d_phase, d_inf_media) row
+    per step.  meta carries the generating parameters (and, for the
+    continuity witness, the parallel list of input distances).
     """
 
-    points: tuple[tuple[int, float, float], ...]
+    points: np.ndarray
     meta: dict = field(default_factory=dict)
 
     columns = ("step", "d_phase", "d_inf_media")
 
     def to_dict(self) -> dict:
+        steps = self.points[:, 0].astype(int).tolist()
+        d, media = self.points[:, 1:].T.tolist()
         return {
             "columns": list(self.columns),
-            "points": [[int(s), float(d), float(m)] for s, d, m in self.points],
+            "points": [list(row) for row in zip(steps, d, media)],
             "meta": dict(self.meta),
         }
 
@@ -173,6 +182,11 @@ def _require_eps(eps: float) -> float:
     return eps
 
 
+def _require_trials(trials: int) -> None:
+    if not isinstance(trials, int) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+
+
 def _require_orbit_budget(walks: int, n_max: int, nv: int) -> None:
     """Raise BudgetExceeded if walks orbits of n_max + 1 steps at nv
     exceed MAX_ORBIT_WORK; n_max must be a non-negative integer."""
@@ -186,6 +200,17 @@ def _require_orbit_budget(walks: int, n_max: int, nv: int) -> None:
 
 
 # ---------- sensitivity ----------
+
+def _sensitivity_point(x: PhasePoint, k0: int, space: SpaceConfig,
+                       ) -> PhasePoint:
+    """x with component 0 of strategy term k0 + 1 moved to whichever of
+    {-N, 0, +N} lies at least N/2 and at most N from it."""
+    n = space.bound_n
+    changed = np.array(x.strategy.term(k0 + 1), dtype=np.float64)
+    current = float(changed[0])
+    changed[0] = 0.0 if abs(current) >= 0.5 * n else n if current >= 0.0 else -n
+    return PhasePoint(x.strategy.with_term(k0 + 1, changed), x.media)
+
 
 def witness_sensitivity(x: PhasePoint, r: float, space: SpaceConfig,
                         tolerance: float = DEFAULT_TOLERANCE) -> WitnessReport:
@@ -202,15 +227,10 @@ def witness_sensitivity(x: PhasePoint, r: float, space: SpaceConfig,
     k0 = ball_index(r)
     n = space.bound_n
     half = 0.5 * n
-    term_index = k0 + 1
-    changed = np.array(x.strategy.term(term_index), dtype=np.float64)
-    current = float(changed[0])
-    changed[0] = 0.0 if abs(current) >= half else n if current >= 0.0 else -n
-    witness = PhasePoint(x.strategy.with_term(term_index, changed), x.media)
-
+    witness = _sensitivity_point(x, k0, space)
     steps = k0 + 2
-    walk = [d for d, _ in _orbit_distances(x, witness, steps, space)]
-    ball_distance, separation = walk[0], walk[-1]
+    walk, _ = _orbit_distances(x, [witness], steps, space)
+    ball_distance, separation = float(walk[0, 0]), float(walk[-1, 0])
     verdict = ball_distance <= float(r) and separation >= half - tolerance
     return WitnessReport(
         property="sensitivity",
@@ -255,7 +275,7 @@ def _transitivity_candidate(x_a: PhasePoint, x_b: PhasePoint, depth: int,
     corrections = np.zeros((len(rows), nv))
     corrections[np.arange(len(rows)), rows] = (gaps / pieces)[rows]
     target = x_b.strategy
-    prefix = _frozen(np.concatenate([_head(x_a.strategy, depth), corrections,
+    prefix = _frozen(np.concatenate([_rows(x_a.strategy, 0, depth), corrections,
                                      target.prefix]))
     candidate = PhasePoint(Strategy(nv, prefix, target.tail), x_a.media)
     return (candidate, depth + len(corrections), len(corrections),
@@ -347,7 +367,7 @@ def witness_regularity(x: PhasePoint, eps: float, space: SpaceConfig,
 
     while True:
         tail = _frozen(np.outer([n, -n], np.ones(nv)) * (-1.0) ** (n0 + 1))
-        candidate = PhasePoint(Strategy(nv, _head(x.strategy, n0 + 1), tail),
+        candidate = PhasePoint(Strategy(nv, _rows(x.strategy, 0, n0 + 1), tail),
                                x.media)
         distance = d_phase(candidate, x, space)
         if distance < eps:
@@ -409,8 +429,8 @@ def expansivity_counterexample(eps: float, n_max: int, space: SpaceConfig,
     n = space.bound_n
     nv = space.nv
     rest, flipper = expansivity_pair(eps, space)
-    sup_distance = max(d for d, _ in
-                       _orbit_distances(rest, flipper, n_max, space))
+    walk, _ = _orbit_distances(rest, [flipper], n_max, space)
+    sup_distance = float(walk.max())
 
     derived_bound = eps / 2.0 + 5.0 * eps / n
     eps_bound_holds = sup_distance <= eps + tolerance
@@ -463,21 +483,17 @@ def witness_continuity(x: PhasePoint, scales, space: SpaceConfig,
         raise ValueError("scales must be strictly decreasing")
 
     head = float(x.strategy.term(0)[0])
-    rows, input_d, used, skipped = [], [], [], []
-    for s in scales:
-        if abs(head + s) > space.bound_n:
-            skipped.append(s)
-            continue
-        perturbed = _perturbed(x, s)
-        (before, _), (after, media) = _orbit_distances(perturbed, x, 1, space)
-        input_d.append(before)
-        rows.append((len(rows), after, media))
-        used.append(s)
-    # after the walks, so a walk's error keeps precedence over this one
+    used = [s for s in scales if abs(head + s) <= space.bound_n]
+    skipped = [s for s in scales if abs(head + s) > space.bound_n]
+    perturbed = [_perturbed(x, s) for s in used]
+    if perturbed:
+        walk, media = _orbit_distances(x, perturbed, 1, space)
+    # after the walk, so a walk's error keeps precedence over this one
     tolerance = _require_tolerance(tolerance)
-    if not rows:
+    if not perturbed:
         raise ValueError("no usable scales: every perturbation left the bound")
-    image_d = [row[1] for row in rows]
+    input_d, image_d = walk.tolist()
+    rows = np.column_stack([np.arange(len(used)), walk[1], media[1]])
     ratio_ok = all(img <= 2.0 * inp + tolerance
                    for img, inp in zip(image_d, input_d))
     nonincreasing = all(b <= a + tolerance
@@ -490,7 +506,7 @@ def witness_continuity(x: PhasePoint, scales, space: SpaceConfig,
         property="continuity",
         inputs={"scales": list(used), "skipped_scales": list(skipped),
                 "nv": x.dim, "bound_n": n},
-        constructed_point=perturbed,
+        constructed_point=perturbed[-1],
         iterations_used=1,
         measured={
             "max_image_to_input_ratio": max_ratio,
@@ -501,7 +517,7 @@ def witness_continuity(x: PhasePoint, scales, space: SpaceConfig,
         tolerance=tolerance,
     )
     trace = OrbitTrace(
-        points=tuple(rows),
+        points=rows,
         meta={"kind": "continuity_probe", "scales": used,
               "skipped_scales": skipped, "input_d_phase": input_d,
               "nv": x.dim, "bound_n": n},
@@ -518,10 +534,9 @@ def divergence_trace(x: PhasePoint, y: PhasePoint, n_max: int,
     More than MAX_ORBIT_WORK steps times nv raise BudgetExceeded.
     """
     _require_orbit_budget(1, n_max, x.dim)
-    rows = tuple((step, d, media) for step, (d, media)
-                 in enumerate(_orbit_distances(x, y, n_max, space)))
+    walk, media = _orbit_distances(x, [y], n_max, space)
     return OrbitTrace(
-        points=rows,
+        points=np.column_stack([np.arange(n_max + 1), walk, media]),
         meta={"kind": "divergence", "n_max": n_max, "nv": x.dim,
               "bound_n": space.bound_n},
     )
@@ -557,23 +572,23 @@ def empirical_sensitivity_scan(x: PhasePoint, r: float, trials: int,
     returns 0.0.  Trial 1 is the constructive sensitivity witness, which
     anchors the scan at the provable separation; remaining trials draw
     random in-ball perturbations sub-seeded from (seed, trial index).
-    Returns max over trials of max over steps 0..n_max of d_phase.
-    More than MAX_ORBIT_WORK steps times nv, trials * (n_max + 1) * nv,
-    raise BudgetExceeded before any trial runs.
+    The trials are built in order and x walks once against up to
+    _SCAN_FAN of them at a time.  Returns max over trials of max over
+    steps 0..n_max of d_phase.  More than MAX_ORBIT_WORK steps times nv,
+    trials * (n_max + 1) * nv, raise BudgetExceeded before any trial is
+    built.
     """
-    if not isinstance(trials, int) or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    _require_trials(trials)
     _require_orbit_budget(trials, n_max, x.dim)
     r = float(r)
     k0 = ball_index(r)
     best = 0.0
-    for trial in range(1, trials):
-        if trial == 1:
-            perturbed = witness_sensitivity(x, r, space).constructed_point
-        else:
-            perturbed = _random_ball_perturbation(x, r, k0, space, seed, trial)
-        for d, _ in _orbit_distances(x, perturbed, n_max, space):
-            best = max(best, d)
+    for first in range(1, trials, _SCAN_FAN):
+        fan = [_sensitivity_point(x, k0, space) if trial == 1 else
+               _random_ball_perturbation(x, r, k0, space, seed, trial)
+               for trial in range(first, min(first + _SCAN_FAN, trials))]
+        walk, _ = _orbit_distances(x, fan, n_max, space)
+        best = max(best, float(walk.max()))
     return best
 
 

@@ -31,6 +31,7 @@ from .chaos_analysis import (
     _require_eps,
     _require_orbit_budget,
     _require_tolerance,
+    _require_trials,
     ball_index,
     divergence_trace,
     empirical_sensitivity_scan,
@@ -211,6 +212,8 @@ def _continuity(args, space, seed, points):
 def _scan(args, space, seed, points):
     _require_tolerance(args.tolerance)
     _require_orbit_budget(args.trials, args.n_max, space.nv)
+    # no trials pass any budget, so check them before x is drawn at nv
+    _require_trials(args.trials)
     x = next(points)
     value = empirical_sensitivity_scan(x, args.r, args.trials, args.n_max,
                                        seed, space)

@@ -33,9 +33,20 @@ from .tm_encoding import BudgetExceeded
 UNIT_BITS = 1074
 # Most terms (head plus one tail block) one strategy series may sum.
 # The Horner sum is quadratic in the count: on a shared 2-core x86 VM,
-# tail periods 97 and 89 (8633 terms) take 0.07 s, and 316 and 315
-# (99540 terms, the largest accepted pair of that shape) 2.4 s.
+# tail periods 97 and 89 (8633 terms) take 0.02 s, and 316 and 315
+# (99540 terms, the largest accepted pair of that shape) 2.1 s.
 MAX_SERIES_TERMS = 10**5
+# Most term components (rows times points times nv) one gather reads:
+# one block of the walker, or one read of a strategy series.  On a
+# shared 2-core x86 VM the default scan took 79, 90 and 117 ms at 2^14,
+# 2^13 and 2^12 (163 ms walking one trial at a time), and a 20-trial
+# scan at nv 64 peaked at 575, 358 and 279 KiB under tracemalloc (65 KiB
+# one trial at a time); 2^13 keeps each temporary near 64 KiB.
+_BLOCK = 2**13
+# Widest block (points times nv) whose media one np.add.accumulate
+# forms, which costs about 25 ns a column; wider ones add row by row at
+# 1-4 us a row.  On that VM the two broke even at 512-768 columns.
+_WIDE = 512
 
 
 class DimensionMismatch(ValueError):
@@ -158,7 +169,7 @@ class Strategy:
             raise IndexError(f"term index must be non-negative, got {k}")
         rest, tail = _rest(self, k + 1)
         value = as_vector(value, self.dim)[None]
-        prefix = np.concatenate([_head(self, k), value, rest])
+        prefix = np.concatenate([_rows(self, 0, k), value, rest])
         return Strategy(self.dim, _frozen(prefix), tail)
 
 
@@ -172,13 +183,17 @@ def check_strategy_bounds(s: Strategy, bound_n: float,
             f"{context} term component {worst!r} exceeds bound {bound_n!r}")
 
 
-def _head(s: Strategy, n: int) -> np.ndarray:
-    """Terms 0..n-1 of s as one read-only (n, dim) block."""
-    if n <= len(s.prefix):
-        return s.prefix[:n]
-    period = s.tail if len(s.tail) else np.zeros((1, s.dim))
-    reps = -(-(n - len(s.prefix)) // len(period))
-    return _frozen(np.concatenate([s.prefix, *[period] * reps]))[:n]
+def _rows(s: Strategy, start: int, stop: int) -> np.ndarray:
+    """Terms start..stop-1 of s as one read-only (stop - start, dim) block:
+    a prefix slice, then tail rows gathered by index modulo the period."""
+    h = len(s.prefix)
+    if stop <= h:
+        return s.prefix[start:stop]
+    idx = np.arange(max(start, h) - h, stop - h)
+    tail = (s.tail[idx % len(s.tail)] if len(s.tail)
+            else np.zeros((len(idx), s.dim)))
+    return _frozen(np.concatenate([s.prefix[start:], tail]) if start < h
+                   else tail)
 
 
 def _terms(s: Strategy):
@@ -260,10 +275,12 @@ def d_inf(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).max())
 
 
-def _term_gap(u: np.ndarray, v: np.ndarray) -> int:
-    """d_inf(u, v) as an integer multiple of 2^-UNIT_BITS."""
-    num, den = d_inf(u, v).as_integer_ratio()
-    return num << (UNIT_BITS + 1 - den.bit_length())
+def _unit_gaps(u: np.ndarray, v: np.ndarray) -> list[int]:
+    """d_inf of each pair of rows of u and v (broadcast, the last axis
+    the components) as integer multiples of 2^-UNIT_BITS, in C order."""
+    gaps = np.abs(u - v).max(axis=-1).ravel().tolist()
+    return [num << (UNIT_BITS + 1 - den.bit_length())
+            for num, den in map(float.as_integer_ratio, gaps)]
 
 
 def _series_exact(s: Strategy, t: Strategy) -> tuple[int, int]:
@@ -272,24 +289,28 @@ def _series_exact(s: Strategy, t: Strategy) -> tuple[int, int]:
     Past both prefixes (h terms) the termwise distances repeat with
     period p = lcm(period_s, period_t), so the remaining series is one
     block scaled by the geometric factor 10^p / (10^p - 1).  Each
-    termwise distance is an integer m_k times 2^-UNIT_BITS, so Horner's
-    rule sums the head and the block over integers, and
-    Q = 2^UNIT_BITS * 10^h * (10^p - 1) holds both.  The term count
-    h + p is checked before any term is read: more than
+    termwise distance is an integer m_k times 2^-UNIT_BITS, read a block
+    of rows at a time, so Horner's rule sums the head and the block over
+    integers, and Q = 2^UNIT_BITS * 10^h * (10^p - 1) holds both.  The
+    term count h + p is checked before any term is read: more than
     MAX_SERIES_TERMS raise BudgetExceeded.
     """
     head_len = max(len(s.prefix), len(t.prefix))
     p = math.lcm(s.period, t.period)
-    if head_len + p > MAX_SERIES_TERMS:
+    n = head_len + p
+    if n > MAX_SERIES_TERMS:
         raise BudgetExceeded(
-            f"the strategy series needs {head_len + p} terms, "
+            f"the strategy series needs {n} terms, "
             f"more than MAX_SERIES_TERMS={MAX_SERIES_TERMS}")
-    pairs = zip(_terms(s), _terms(t))
+    rows = max(1, _BLOCK // s.dim)
+    gaps = chain.from_iterable(
+        _unit_gaps(_rows(s, k, min(k + rows, n)), _rows(t, k, min(k + rows, n)))
+        for k in range(0, n, rows))
     head = block = 0
-    for u, v in islice(pairs, head_len):
-        head = head * 10 + _term_gap(u, v)
-    for u, v in islice(pairs, p):
-        block = block * 10 + _term_gap(u, v)
+    for m in islice(gaps, head_len):
+        head = head * 10 + m
+    for m in gaps:
+        block = block * 10 + m
     repunit = 10**p - 1
     return 10 * (head * repunit + block), (10**head_len * repunit) << UNIT_BITS
 
@@ -322,32 +343,69 @@ def d_phase(x: PhasePoint, y: PhasePoint, space: SpaceConfig) -> float:
     return d_inf(x.media, y.media) + d_strategy(x.strategy, y.strategy, space)
 
 
-def _orbit_distances(x: PhasePoint, y: PhasePoint, n_max: int,
-                     space: SpaceConfig):
-    """Yield (d_phase, d_inf of the media) of g^k(x), g^k(y), k = 0..n_max.
+def _orbit_distances(x: PhasePoint, ys, n_max: int, space: SpaceConfig,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """d_phase and d_inf of the media between g^k(x) and g^k(y), for
+    each companion y in ys and k = 0..n_max.
 
-    The one walker of two orbits builds no point.  The strategy series
-    is summed once, then stepped by the exact shift recurrence
-    S' = 10 * (S - d_inf(s_k, t_k)), which takes no termwise distance
-    once S is 0.
-    Every distance equals d_phase of the points iterate_g builds, and
-    a media that overflows raises ValueError.
+    Returns two float64 arrays of shape (n_max + 1, len(ys)).  The one
+    walker of orbits builds no point: x walks once in lockstep with
+    every companion, a block of steps at a time.  Each block gathers
+    the term rows of every point, forms the media in place with one
+    np.add.accumulate, or row by row past _WIDE columns (both add in
+    order, so the bits are those of adding term by term), and takes
+    the media distances as one row max.
+    Each companion's strategy series is summed once, then stepped by the
+    exact shift recurrence S' = 10 * (S - d_inf(x_k, y_k)), whose
+    termwise distances are read only while S is not 0.  Every distance
+    equals d_phase of the points iterate_g builds, and a media that
+    overflows raises ValueError.
     """
-    if x.dim != y.dim:
-        raise DimensionMismatch(f"point dimensions differ: {x.dim} vs {y.dim}")
-    s, t = x.strategy, y.strategy
-    num, den = _series_exact(s, t)
-    terms = zip(_terms(s), _terms(t))
-    a, b = x.media, y.media
-    for k in range(n_max + 1):
-        if k:
-            u, v = next(terms)
-            if num:
-                num = 10 * (num - (den >> UNIT_BITS) * _term_gap(u, v))
-            a, b = u + a, v + b
-        media = d_inf(a, b)
-        # finite media can still lie an infinite distance apart
-        if not (math.isfinite(media)
-                or np.isfinite(a).all() and np.isfinite(b).all()):
+    for y in ys:
+        if x.dim != y.dim:
+            raise DimensionMismatch(
+                f"point dimensions differ: {x.dim} vs {y.dim}")
+    seeds = [_series_exact(x.strategy, y.strategy) for y in ys]
+    nums = [num for num, _ in seeds]
+    units = [den >> UNIT_BITS for _, den in seeds]
+    # (9/N) * num / den as c * num / q, rounded once like _scaled
+    a, b = space.bound_n.as_integer_ratio()
+    c, qs = 9 * b, [a * den for _, den in seeds]
+    points = [x, *ys]
+    media = np.array([p.media for p in points])
+    d_media = np.empty((n_max + 1, len(ys)))
+    d_media[0] = np.abs(media[0] - media[1:]).max(axis=1)
+    d_series = np.zeros((n_max + 1, len(ys)))
+    d_series[0] = [c * num / q for num, q in zip(nums, qs)]
+    steps = max(1, _BLOCK // (len(points) * x.dim))
+    for start in range(0, n_max, steps):
+        stop = min(start + steps, n_max)
+        terms = np.array([_rows(p.strategy, start, stop) for p in points])
+        live = [j for j, num in enumerate(nums) if num]
+        if live:
+            n = stop - start
+            gaps = _unit_gaps(terms[0], terms[[j + 1 for j in live]])
+            for i, j in enumerate(live):
+                num, unit, q, column = nums[j], units[j], qs[j], []
+                for m in gaps[i * n:(i + 1) * n]:
+                    num = 10 * (num - unit * m)
+                    column.append(c * num / q)
+                    if not num:
+                        break
+                nums[j] = num
+                d_series[start + 1:start + 1 + len(column), j] = column
+        # each point's media after each step, added in order in place
+        walked = terms
+        walked[:, 0] += media
+        if media.size > _WIDE:
+            for i in range(1, stop - start):
+                walked[:, i] += walked[:, i - 1]
+        else:
+            np.add.accumulate(walked, axis=1, out=walked)
+        media = walked[:, -1].copy()
+        # adding finite terms never brings a non-finite media back
+        if not np.isfinite(media).all():
             raise ValueError("vector components must be finite")
-        yield media + _scaled(num, den, space), media
+        gap = walked[1:] - walked[0]
+        d_media[start + 1:stop + 1] = np.abs(gap, out=gap).max(axis=2).T
+    return d_media + d_series, d_media

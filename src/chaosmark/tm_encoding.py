@@ -19,6 +19,7 @@ the intermediate configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from types import MappingProxyType
 
 MOVES = ("L", "R")
@@ -106,14 +107,17 @@ class TmConfiguration:
     def window(self, blank: str) -> tuple[int, str]:
         """(first index, rendered tape) over the written cells and the head.
 
-        Multi-character symbols are joined with spaces.
+        Symbols are joined with spaces when any shown symbol is longer
+        than one character, which the distinct symbols decide.
         """
-        lo = min(min(self.cells, default=self.head), self.head)
-        hi = max(max(self.cells, default=self.head), self.head)
-        symbols = [self.cells.get(i, blank) for i in range(lo, hi + 1)]
-        if all(len(s) == 1 for s in symbols):
-            return lo, "".join(symbols)
-        return lo, " ".join(symbols)
+        cells = self.cells.copy()  # a dict, whose get outruns the proxy's
+        lo = min(min(cells, default=self.head), self.head)
+        hi = max(max(cells, default=self.head), self.head)
+        symbols = [cells.get(i, blank) for i in range(lo, hi + 1)]
+        shown = set(cells.values())
+        if len(cells) < len(symbols):  # some cell in the window is blank
+            shown.add(blank)
+        return lo, ("" if all(len(s) == 1 for s in shown) else " ").join(symbols)
 
 
 def initial_configuration(machine: TuringMachine, tape,
@@ -130,14 +134,16 @@ def initial_configuration(machine: TuringMachine, tape,
         BudgetExceeded: a non-empty tape and the head span more than
             MAX_TAPE_CELLS cells.
     """
-    cells = {}
-    for i, symbol in enumerate(tape):
-        if i >= MAX_TAPE_CELLS:
-            raise BudgetExceeded(
-                f"tape is longer than MAX_TAPE_CELLS={MAX_TAPE_CELLS} cells")
-        if symbol not in machine.alphabet:
-            raise ValueError(f"tape symbol {symbol!r} not in the alphabet")
-        cells[i] = symbol
+    symbols = list(islice(tape, MAX_TAPE_CELLS + 1))
+    if not machine.alphabet.issuperset(symbols):
+        i, bad = next((i, s) for i, s in enumerate(symbols)
+                      if s not in machine.alphabet)
+        if i < MAX_TAPE_CELLS:
+            raise ValueError(f"tape symbol {bad!r} not in the alphabet")
+    if len(symbols) > MAX_TAPE_CELLS:
+        raise BudgetExceeded(
+            f"tape is longer than MAX_TAPE_CELLS={MAX_TAPE_CELLS} cells")
+    cells = dict(enumerate(symbols))
     if cells and max(len(cells) - 1, head) - min(0, head) >= MAX_TAPE_CELLS:
         raise BudgetExceeded(f"tape and head span more than "
                              f"MAX_TAPE_CELLS={MAX_TAPE_CELLS} cells")

@@ -512,20 +512,53 @@ class TestTracesAndScan:
             empirical_sensitivity_scan(x, 0.1, 2, 5, 0, SPACE2)
 
     @pytest.mark.parametrize("trials", [1, 2, 3, 7])
-    def test_scan_walks_once_per_trial(self, trials, monkeypatch):
+    def test_scan_walks_x_once(self, trials, monkeypatch):
+        walks, built = [], []
+        walk = chaos_analysis._orbit_distances
+        witness = chaos_analysis._sensitivity_point
+        perturb = chaos_analysis._random_ball_perturbation
+
+        def counted(x, ys, *args):
+            walks.append((x, list(ys)))
+            return walk(x, ys, *args)
+
+        def built_witness(*args):
+            built.append(1)
+            return witness(*args)
+
+        def built_trial(*args):
+            built.append(args[-1])
+            return perturb(*args)
+
+        monkeypatch.setattr(chaos_analysis, "_orbit_distances", counted)
+        monkeypatch.setattr(chaos_analysis, "_sensitivity_point", built_witness)
+        monkeypatch.setattr(chaos_analysis, "_random_ball_perturbation",
+                            built_trial)
+        monkeypatch.setattr(chaos_analysis, "witness_sensitivity", None)
+        x = rest(2)
+        best = empirical_sensitivity_scan(x, 0.1, trials, 5, 0, SPACE2)
+        # trial 0 is x itself and is not walked; every other trial is
+        # built once, in order, and walks beside the one walk of x
+        assert built == list(range(1, trials))
+        assert len(walks) == (trials > 1)
+        for base, companions in walks:
+            assert base is x and len(companions) == trials - 1
+        assert best == 0.0 if trials == 1 else best >= 10.0
+
+    def test_scan_walks_x_once_per_fan(self, monkeypatch):
+        x = random_phase_point(4, SPACE3)
+        whole = empirical_sensitivity_scan(x, 0.01, 8, 6, 2, SPACE3)
         walks = []
         walk = chaos_analysis._orbit_distances
 
-        def counted(*args):
-            walks.append(args)
-            return walk(*args)
+        def counted(x, ys, *args):
+            walks.append(len(ys))
+            return walk(x, ys, *args)
 
         monkeypatch.setattr(chaos_analysis, "_orbit_distances", counted)
-        best = empirical_sensitivity_scan(rest(2), 0.1, trials, 5, 0, SPACE2)
-        # trial 0 is x itself and is not walked; trial 1's witness is
-        # walked inside witness_sensitivity and again by the scan
-        assert len(walks) == (trials if trials > 1 else 0)
-        assert best == 0.0 if trials == 1 else best >= 10.0
+        monkeypatch.setattr(chaos_analysis, "_SCAN_FAN", 3)
+        assert empirical_sensitivity_scan(x, 0.01, 8, 6, 2, SPACE3) == whole
+        assert walks == [3, 3, 1]
 
     def test_second_trial_anchors_at_witness_separation(self):
         best = empirical_sensitivity_scan(rest(2), 0.1, 2, 5, 0, SPACE2)
@@ -569,17 +602,36 @@ class TestTracesAndScan:
             empirical_sensitivity_scan(rest(2), 0.1, 3, -1, 0, SPACE2)
 
 
-def assert_walk_matches_d_phase(x, y, n_max, space):
-    """Every distance the walker yields equals d_phase on the oracle's points."""
-    walked = 0
-    a, b = x, y
-    for d, media in phase_space._orbit_distances(x, y, n_max, space):
-        if walked:
-            a, b = shift_oracle.iterate_g(a, 1), shift_oracle.iterate_g(b, 1)
-        assert d == d_phase(a, b, space)
-        assert media == d_inf(a.media, b.media)
-        walked += 1
-    assert walked == n_max + 1
+def assert_walk_matches_d_phase(x, ys, n_max, space):
+    """Every distance the walker gives equals d_phase on the oracle's points."""
+    ys = [ys] if isinstance(ys, PhasePoint) else ys
+    walk, media = phase_space._orbit_distances(x, ys, n_max, space)
+    assert walk.shape == media.shape == (n_max + 1, len(ys))
+    for j, y in enumerate(ys):
+        a, b = x, y
+        for k in range(n_max + 1):
+            if k:
+                a, b = shift_oracle.apply_g(a), shift_oracle.apply_g(b)
+            assert walk[k, j] == d_phase(a, b, space)
+            assert media[k, j] == d_inf(a.media, b.media)
+
+
+def assert_walk_matches_iterate_g(x, ys, n_max, steps, space):
+    """The walker's rows at `steps` equal d_phase of iterate_g's points."""
+    walk, media = phase_space._orbit_distances(x, ys, n_max, space)
+    for k in steps:
+        a = iterate_g(x, k)
+        for j, y in enumerate(ys):
+            b = iterate_g(y, k)
+            assert walk[k, j] == d_phase(a, b, space), (k, j)
+            assert media[k, j] == d_inf(a.media, b.media), (k, j)
+
+
+def periodic_point(rng, nv, prefix, period, space):
+    n = space.bound_n
+    return PhasePoint(Strategy(nv, rng.uniform(-n, n, (prefix, nv)),
+                               rng.uniform(-n, n, (period, nv))),
+                      rng.uniform(-n, n, nv))
 
 
 class TestOrbitWalker:
@@ -593,6 +645,14 @@ class TestOrbitWalker:
             x = random_phase_point(rng, space)
             assert_walk_matches_d_phase(x, random_phase_point(rng, space),
                                         12, space)
+
+    def test_random_fans(self):
+        # one x against several companions in lockstep
+        rng = np.random.default_rng(32)
+        for _ in range(10):
+            x = random_phase_point(rng, SPACE3)
+            ys = [random_phase_point(rng, SPACE3) for _ in range(4)]
+            assert_walk_matches_d_phase(x, ys, 9, SPACE3)
 
     def test_sensitivity_orbits(self):
         for k in range(1, 13):
@@ -617,22 +677,81 @@ class TestOrbitWalker:
             assert_walk_matches_d_phase(x_a, candidate, steps, SPACE3)
             assert_walk_matches_d_phase(candidate, x_b, steps, SPACE3)
 
+    @pytest.mark.parametrize("companions", [1, 3, 9])
+    def test_block_boundaries(self, companions):
+        # nv 64: the real block size gives _BLOCK // (points * 64) steps,
+        # and ten points are wider than _WIDE, so they add row by row
+        space = SpaceConfig(nv=64)
+        block = phase_space._BLOCK // ((companions + 1) * 64)
+        rng = np.random.default_rng(companions)
+        x = periodic_point(rng, 64, 2, 3, space)
+        ys = [periodic_point(rng, 64, j, 2 + j, space)
+              for j in range(companions)]
+        for n_max in (block - 1, block, block + 1):
+            assert_walk_matches_d_phase(x, ys, n_max, space)
+
+    @pytest.mark.parametrize("wide", [0, 10**9])
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_small_blocks(self, block, wide, monkeypatch):
+        # three points at nv 3: a block of `block` steps, whose media are
+        # added row by row (wide 0) or by one accumulate
+        monkeypatch.setattr(phase_space, "_BLOCK", block * 9)
+        monkeypatch.setattr(phase_space, "_WIDE", wide)
+        rng = np.random.default_rng(block)
+        x = periodic_point(rng, 3, 1, 2, SPACE3)
+        ys = [random_phase_point(rng, SPACE3), periodic_point(rng, 3, 4, 3,
+                                                              SPACE3)]
+        for n_max in (0, block - 1, block, block + 1, 3 * block + 2):
+            assert_walk_matches_d_phase(x, ys, n_max, SPACE3)
+
+    @pytest.mark.parametrize("nv", [1, 3, 64])
+    def test_deep_in_periodic_tails(self, nv):
+        # thousands of steps past tails of period 1 to 7, several blocks
+        # deep, against iterate_g at and around the block ends
+        space = SpaceConfig(nv=nv)
+        rng = np.random.default_rng(nv)
+        x = periodic_point(rng, nv, 2, 3, space)
+        ys = [periodic_point(rng, nv, 0, 7, space),
+              periodic_point(rng, nv, 5, 1, space),
+              PhasePoint(Strategy(nv, rng.uniform(-10, 10, (3, nv))),
+                         rng.uniform(-5, 5, nv))]
+        block = phase_space._BLOCK // (4 * nv)
+        n_max = min(3 * block + 5, 5000)
+        steps = sorted({0, 1, block - 1, block, block + 1, 2 * block,
+                        n_max - 1, n_max} & set(range(n_max + 1)))
+        assert_walk_matches_iterate_g(x, ys, n_max, steps, space)
+
     def test_zero_series_reads_no_terms(self, monkeypatch):
+        # x and y share every term past term 0, so their series is 0
+        # from step 1 on; y2 shares all of x's terms
         s = Strategy(2, ([1.0, 2.0],), ([3.0, 4.0],))
-        x, y = PhasePoint(s, [0.0, 0.0]), PhasePoint(s, [1.0, 0.0])
+        t = Strategy(2, ([5.0, 2.0],), ([3.0, 4.0],))
+        x = PhasePoint(s, [0.0, 0.0])
+        ys = [PhasePoint(t, [1.0, 0.0]), PhasePoint(s, [1.0, 0.0])]
+        # three points at nv 2: blocks of 4 steps
+        monkeypatch.setattr(phase_space, "_BLOCK", 24)
+        reads = []
+        gaps = phase_space._unit_gaps
 
-        def unread(*args):
-            raise AssertionError("a term of a zero series was read")
+        def counted(u, v):
+            reads.append(np.broadcast_shapes(u.shape, v.shape)[:-1])
+            return gaps(u, v)
 
-        walk = phase_space._orbit_distances(x, y, 5, SPACE2)
-        distances = [next(walk)[0]]  # summing the series reads its terms
-        monkeypatch.setattr(phase_space, "_term_gap", unread)
-        distances += [d for d, _ in walk]
-        assert distances == [1.0] * 6
+        monkeypatch.setattr(phase_space, "_unit_gaps", counted)
+        walk, _ = phase_space._orbit_distances(x, ys, 12, SPACE2)
+        # the two seed sums read their 2 terms each; the first block
+        # reads the 4 gaps of the one live series, and no later block
+        # reads any
+        assert reads == [(2,), (2,), (1, 4)]
+        assert walk[1:].tolist() == [[5.0, 1.0]] * 12
+        assert walk[0].tolist() == [d_phase(x, y, SPACE2) for y in ys]
 
     def test_walk_errors(self):
         with pytest.raises(DimensionMismatch):
-            next(phase_space._orbit_distances(rest(2), rest(3), 3, SPACE2))
+            phase_space._orbit_distances(rest(2), [rest(3)], 3, SPACE2)
+        with pytest.raises(DimensionMismatch):
+            phase_space._orbit_distances(rest(2), [rest(2), rest(3)], 3,
+                                         SPACE2)
         with pytest.raises(ValueError, match="n_max"):
             divergence_trace(rest(2), rest(2), -1, SPACE2)
         big = PhasePoint(Strategy(1, ([1.7e308],)), [1.7e308])
@@ -646,7 +765,7 @@ class TestOrbitWalker:
         y = PhasePoint(Strategy(1), [-1.7e308])
         with np.errstate(over="ignore"):
             trace = divergence_trace(x, y, 2, SpaceConfig(nv=1))
-        assert [row[1:] for row in trace.points] == [(math.inf, math.inf)] * 3
+        assert trace.points[:, 1:].tolist() == [[math.inf, math.inf]] * 3
 
 
 class TestOrbitBudget:

@@ -267,6 +267,20 @@ class TestExitCodes:
         assert err.startswith("error: Unable to allocate 7.45 GiB ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_scan_trials_are_checked_before_a_point_is_drawn(
+            self, trials, capsys, monkeypatch):
+        # no trials pass the orbit budget at any nv, so a point at nv
+        # 10^9 would be drawn before the scan refused them
+        def unbuilt(*args):
+            raise AssertionError("a start point was drawn")
+
+        monkeypatch.setattr(cli, "random_phase_point", unbuilt)
+        assert main(["analyze", "scan", "--r", "0.01", "--trials", trials,
+                     "--nv", "1000000000"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: trials must be a positive integer, got {trials}\n")
+
     @pytest.mark.parametrize("r", ["1e-307", "1e-320"])
     def test_scan_draws_past_the_largest_power_of_ten(self, r, capsys):
         # random draws reach depth k0 + 2, past 10^308

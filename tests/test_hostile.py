@@ -1,10 +1,12 @@
-"""Hostile inputs on the CLI's file and text paths.
+"""Hostile inputs on the CLI's file, text and orbit paths.
 
 Each case runs ``cli.main`` in process on generated message text and
-message files, machine files and tapes, and must exit with a documented
-code (0-3), print no traceback, and finish inside WALL_S seconds.
-``derandomize=True`` makes every run draw the same examples, so CI is
-deterministic; EXAMPLES cases run per test.
+message files, machine files and tapes, or on the options of the
+``analyze`` orbit commands (scan, trace, expansivity and continuity),
+and must exit with a documented code (0-3), print no traceback, and
+finish inside WALL_S seconds.  ``derandomize=True`` makes every run
+draw the same examples, so CI is deterministic; EXAMPLES cases run per
+test.
 """
 
 import contextlib
@@ -14,6 +16,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from chaosmark import chaos_analysis
 from chaosmark.cli import main
 
 EXAMPLES = 150
@@ -70,6 +73,44 @@ TAPE_BYTES = st.one_of(TAPE.map(lambda t: (t or "").encode()),
                        st.binary(max_size=20))
 
 HOST = '{"nv": 8, "data": [0.5, -1.0, 2.0, 0.25, -0.75, 1.5, -2.0, 1.0]}\n'
+
+# Options of the analyze orbit commands: plain and extreme values, and
+# in most cases one option set to a bad one.  The orbit budget is cut to
+# ORBIT_WORK for these cases, so every run it lets through is short, and
+# it refuses a huge --nv before a point is drawn; continuity has no such
+# budget yet, so its --nv stays small.
+ORBIT_WORK = 4000
+BAD = st.sampled_from(["x", "", "1.5", "nan", "inf", "-inf", "-1", "0"])
+COUNTS = st.sampled_from(["0", "1", "2", "3", "20", "1000000000",
+                          "99999999999999999999999"])
+NVS = st.sampled_from(["1", "2", "8", "64", "1000000000",
+                       "99999999999999999999999"])
+SMALL_NVS = st.sampled_from(["1", "2", "8", "64"])
+REALS = st.sampled_from(["5e-324", "1e-307", "1e-300", "0.01", "0.5", "1",
+                         "20", "8e307", "1e308"])
+SEEDS = st.sampled_from(["0", "7", "99999999999999999999999"])
+TOLERANCES = st.sampled_from(["0", "1e-9", "1e308"])
+SCALES = st.lists(st.sampled_from(["5e-324", "1e-300", "1e-3", "0.1", "0.5",
+                                   "9.5", "1e308", "", "nan", "-1", "x"]),
+                  max_size=5).map(",".join)
+FORMATS = st.sampled_from(["json", "csv"])
+
+
+def _argv(values: dict, bad) -> list:
+    if bad is not None:
+        values[bad[0]] = bad[1]
+    return [f"--{name.replace('_', '-')}={value}"
+            for name, value in values.items() if value is not None]
+
+
+def hostile_options(**good):
+    """argv options, each left out or drawn from its good values, then at
+    most one of them replaced by a bad value."""
+    return st.builds(
+        _argv,
+        st.fixed_dictionaries({name: st.one_of(st.none(), values)
+                               for name, values in good.items()}),
+        st.one_of(st.none(), st.tuples(st.sampled_from(sorted(good)), BAD)))
 
 
 @pytest.fixture(scope="module")
@@ -129,3 +170,42 @@ def test_tm_survives_hostile_tape_files(work, tape):
     (work / "tape.txt").write_bytes(tape)
     run_cli(["tm", "--machine", str(work / "inc.tm"),
              "--tape-file", str(work / "tape.txt")])
+
+
+@pytest.fixture(scope="module")
+def small_orbit_budget():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chaos_analysis, "MAX_ORBIT_WORK", ORBIT_WORK)
+        yield
+
+
+@CASES
+@given(argv=hostile_options(r=REALS, trials=COUNTS, n_max=COUNTS, nv=NVS,
+                            bound_n=REALS, seed=SEEDS, tolerance=TOLERANCES))
+def test_analyze_scan_survives_hostile_options(small_orbit_budget, argv):
+    # the default 500 trials pass no budget this small; a later option wins
+    run_cli(["analyze", "scan", "--r=0.01", "--trials=20", *argv])
+
+
+@CASES
+@given(argv=hostile_options(
+    pair=st.sampled_from(["sensitivity", "expansivity", "random"]),
+    r=REALS, eps=REALS, n_max=COUNTS, nv=NVS, bound_n=REALS, seed=SEEDS,
+    format=FORMATS))
+def test_analyze_trace_survives_hostile_options(small_orbit_budget, argv):
+    run_cli(["analyze", "trace", *argv])
+
+
+@CASES
+@given(argv=hostile_options(eps=REALS, n_max=COUNTS, nv=NVS, bound_n=REALS,
+                            tolerance=TOLERANCES))
+def test_analyze_expansivity_survives_hostile_options(small_orbit_budget,
+                                                      argv):
+    run_cli(["analyze", "expansivity", *argv])
+
+
+@CASES
+@given(argv=hostile_options(scales=SCALES, nv=SMALL_NVS, bound_n=REALS,
+                            seed=SEEDS, tolerance=TOLERANCES, format=FORMATS))
+def test_analyze_continuity_survives_hostile_options(argv):
+    run_cli(["analyze", "continuity", *argv])

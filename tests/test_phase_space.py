@@ -320,9 +320,24 @@ class TestBlocks:
     def test_terms_past_a_zero_tail_are_read_only(self):
         s = Strategy(2, [[1.0, 2.0]])
         walked = phase_space._terms(s)
-        for t in (s.term(1), s.term(7), *islice(walked, 4)):
+        rows = [*phase_space._rows(s, 0, 4), *phase_space._rows(s, 2, 6)]
+        for t in (s.term(1), s.term(7), *islice(walked, 4), *rows):
             assert not t.flags.writeable
         assert s.term(3).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("start,stop", [
+        (0, 0), (0, 3), (1, 7), (5, 9), (10**6, 10**6 + 5)])
+    def test_rows_are_the_terms(self, start, stop):
+        rng = np.random.default_rng(start)
+        for prefix in (0, 2, 6):
+            for period in (0, 1, 3):
+                s = Strategy(2, rng.uniform(-1.0, 1.0, (prefix, 2)),
+                             rng.uniform(-1.0, 1.0, (period, 2)))
+                rows = phase_space._rows(s, start, stop)
+                assert rows.shape == (stop - start, 2)
+                assert not rows.flags.writeable
+                assert rows.tolist() == [s.term(k).tolist()
+                                         for k in range(start, stop)]
 
     @pytest.mark.parametrize("prefix", [(), np.empty((0, 3)), [[1.0, 2.0, 3.0]]])
     @pytest.mark.parametrize("tail", [(), np.empty((0, 3)), [[4.0, 5.0, 6.0]]])
@@ -604,7 +619,7 @@ class TestExactSeries:
         def unread(*args):
             raise AssertionError("a series term was read")
 
-        monkeypatch.setattr(phase_space, "d_inf", unread)
+        monkeypatch.setattr(phase_space, "_rows", unread)
         monkeypatch.setattr(phase_space, "MAX_SERIES_TERMS", 7)
         with pytest.raises(BudgetExceeded,
                            match=r"needs 8 terms, more than MAX_SERIES_TERMS=7"):

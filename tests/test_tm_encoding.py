@@ -286,6 +286,14 @@ class TestTapeBudget:
         assert len(initial_configuration(UNARY_INCREMENT, "11111").cells) == 5
         with pytest.raises(BudgetExceeded, match="MAX_TAPE_CELLS=5"):
             initial_configuration(UNARY_INCREMENT, "111111")
+        # a bad symbol inside the budget is reported first, one past it
+        # is never read
+        with pytest.raises(ValueError, match="tape symbol 'x'"):
+            initial_configuration(UNARY_INCREMENT, "1111x1")
+        with pytest.raises(BudgetExceeded, match="MAX_TAPE_CELLS=5"):
+            initial_configuration(UNARY_INCREMENT, "11111x")
+        with pytest.raises(BudgetExceeded, match="MAX_TAPE_CELLS=5"):
+            initial_configuration(UNARY_INCREMENT, iter("1" * 10**9))
 
     def test_head_far_from_the_tape_is_rejected(self, monkeypatch):
         monkeypatch.setattr(tm_encoding, "MAX_TAPE_CELLS", 5)
@@ -332,6 +340,11 @@ class TestConfigurations:
     def test_multicharacter_symbols_render_spaced(self):
         config = TmConfiguration({0: "10", 1: "#"}, 0, "s")
         assert config.window("#")[1] == "10 #"
+        # the symbols shown decide, blanks in the window among them
+        config = TmConfiguration({0: "1", 2: "1"}, 0, "s")
+        assert config.window("BL") == (0, "1 BL 1")
+        assert config.window("#") == (0, "1#1")
+        assert TmConfiguration({0: "1"}, 0, "s").window("BL") == (0, "1")
 
     def test_empty_tape_window_defaults_to_head(self):
         config = TmConfiguration({}, 3, "s")
