@@ -22,7 +22,9 @@ The call list is:
 * edge calls: every trace pair with a bad --r or --eps, bad and extreme
   radii and eps on the witnesses, scans at --r 1e-307 and --bound-n
   8e307, overflowing orbits, message and machine edge files, tape files,
-  usage errors, help under COLUMNS 60 and 120, and CHAOSMARK_SEED.
+  bb5 at 10^6 steps, heads 5000 cells either side of a tape, a machine
+  that walks left into negative cells, a multi-character symbol, usage
+  errors, help under COLUMNS 60 and 120, and CHAOSMARK_SEED.
 
 The inputs (op pools, hosts, machines, edge files) come from this
 working tree, so only the program under test differs between runs.
@@ -102,6 +104,10 @@ def _edge_files(work: Path) -> None:
         "no_initial.tm": "".join(line + "\n" for line in unary.splitlines()
                                  if not line.startswith("initial:")),
         "tape.txt": "111\n",
+        "left_walk.tm": "states: a b c\nalphabet: 1 0 #\nblank: #\ninitial: a\n"
+                        "a 1 -> a 1 L\na # -> b 0 L\nb # -> c 1 L\n",
+        "multichar.tm": "states: a h\nalphabet: 1 10 #\nblank: #\ninitial: a\n"
+                        "halting: h\na 1 -> a 10 R\na # -> h 10 R\n",
         "host_nan.json": '{"nv": 2, "data": [NaN, 1.0]}',
         "host_p2.pgm": "P2\n# a comment\n2 2\n3\n0 1 2 3\n",
         "host_p2_range.pgm": "P2\n2 2\n3\n0 1 2 4\n",
@@ -252,8 +258,19 @@ def _edge_calls(work: Path) -> list:
             ("over-budget", ["--tape", "1", "--max-steps", "100000000"])]:
         add(f"tm/{label}", [*tm, *args])
     bb5 = str(ROOT / "chaosbench" / "machines" / "bb5.tm")
-    for steps in ("100000", "0"):
+    for steps in ("1000000", "100000", "0"):
         add(f"tm/bb5-{steps}", ["tm", "--machine", bb5, "--max-steps", steps])
+    for head in ("5000", "-5000"):
+        add(f"tm/unary-head{head}", [*tm, "--tape", "111", "--head", head])
+        add(f"tm/bb5-head{head}", ["tm", "--machine", bb5, "--tape", "0110",
+                                   "--head", head, "--max-steps", "20000"])
+    for args in (["--tape", "111"], ["--tape", "1" * 30, "--head", "29"],
+                 ["--tape", "1" * 30, "--head", "40"]):
+        add("tm/left-walk " + " ".join(args),
+            ["tm", "--machine", f"{w}/left_walk.tm", *args])
+    for tape in ("", "111"):
+        add(f"tm/multichar-{tape}", ["tm", "--machine", f"{w}/multichar.tm",
+                                     "--tape", tape])
 
     # usage errors and help, at two widths
     for columns in ("60", "120"):

@@ -1,5 +1,7 @@
 """Machine steps as map applications: runs, composition, and the text format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,13 @@ RIGHT_WRITER = TuringMachine(
     initial_state="go",
 )
 
+LEFT_WRITER = TuringMachine(
+    states=frozenset({"go"}),
+    alphabet=frozenset({"1", "#"}),
+    transitions={("go", "#"): ("go", "1", "L")},
+    initial_state="go",
+)
+
 # Five-state, two-symbol busy-beaver champion (Marxen and Buntrock):
 # it runs 47,176,870 steps from a blank tape, so any shorter run ends
 # at its step limit.
@@ -73,8 +82,12 @@ E 1 -> A 0 L
 """
 
 
-def reference_run(machine, config, max_steps):
-    """Plain stepper on one dict mutated in place: (cells, head, state, steps, reason)."""
+def reference_run(machine, config, max_steps, limit=None):
+    """Plain stepper on one dict mutated in place: (cells, head, state, steps, reason).
+
+    With a limit, a step that leaves more than limit cells written raises
+    tm_run's BudgetExceeded text.
+    """
     cells = dict(config.cells)
     head, state, steps = config.head, config.state, 0
     while True:
@@ -86,8 +99,28 @@ def reference_run(machine, config, max_steps):
         if rule is None:
             return cells, head, state, steps, "no_transition"
         state, cells[head], move = rule
+        if limit is not None and len(cells) > limit:
+            raise BudgetExceeded(f"tape would exceed MAX_TAPE_CELLS={limit} "
+                                 f"cells at step {steps + 1}")
         head += 1 if move == "R" else -1
         steps += 1
+
+
+def assert_matches_reference(machine, start, max_steps, limit=None):
+    """tm_run gives the reference's result, or raises its exact text."""
+    try:
+        want = reference_run(machine, start, max_steps, limit)
+    except BudgetExceeded as exc:
+        with pytest.raises(BudgetExceeded) as got:
+            tm_run(machine, start, max_steps)
+        assert str(got.value) == str(exc)
+        return None
+    result = tm_run(machine, start, max_steps)
+    cells, head, state, steps, reason = want
+    assert dict(result.config.cells) == cells
+    assert (result.config.head, result.config.state) == (head, state)
+    assert (result.steps, result.reason) == (steps, reason)
+    return result
 
 
 def random_runs(seed, count):
@@ -246,6 +279,108 @@ class TestAgainstReference:
             assert (steps, reason) == (result.steps, result.reason)
             assert config == result.config
 
+    def test_cells_far_apart_stay_out_of_memory(self):
+        for cells, head in [({0: "1", 10**9: "1"}, 0),
+                            ({-10**9: "1", 0: "1", 1: "1", 10**9: "1"}, 10**9),
+                            ({-10**9: "#", 10**9: "1"}, 3)]:
+            for machine, max_steps in [(UNARY_INCREMENT, 100),
+                                       (RIGHT_WRITER, 2000), (LEFT_WRITER, 2000)]:
+                start = TmConfiguration(cells, head, machine.initial_state)
+                tracemalloc.start()
+                try:
+                    assert_matches_reference(machine, start, max_steps)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 2 * 10**6, (cells, head, machine, peak)
+
+    def test_symbols_outside_the_alphabet(self):
+        foreign = {-2: "x", 0: "1", 1: "yy", 3: "#", 6: "x"}
+        for machine in (UNARY_INCREMENT, RIGHT_MOVER, RIGHT_WRITER, LEFT_WRITER):
+            for head in (-3, 0, 2, 5, 7):
+                start = TmConfiguration(foreign, head, machine.initial_state)
+                result = assert_matches_reference(machine, start, 50)
+                assert {k: v for k, v in result.config.cells.items()
+                        if v not in machine.alphabet} == \
+                    {k: v for k, v in foreign.items() if v not in machine.alphabet}
+        reached = 0
+        for machine, start, max_steps in random_runs(33, 300):
+            pool = [*sorted(machine.alphabet), "x", "zz"]
+            cells = {i: pool[(i * 7 + len(machine.states)) % len(pool)]
+                     for i in range(-4, 12, 2)}
+            start = TmConfiguration(cells, start.head, start.state)
+            result = assert_matches_reference(machine, start, max_steps)
+            reached += result.config.cells.get(result.config.head) in ("x", "zz")
+        assert reached
+
+    def test_halting_initial_state(self):
+        for cells in ({}, {0: "1", 1: "#"}, {5: "x"}):
+            start = TmConfiguration(cells, 1, "accept")
+            for max_steps in (0, 1, 100):
+                result = assert_matches_reference(UNARY_INCREMENT, start, max_steps)
+                assert (result.steps, result.reason) == (0, "halt_state")
+                assert result.config == start
+
+    def test_long_walks_grow_the_window_on_both_sides(self):
+        # a walker that turns back at each end sweeps wider and wider
+        bouncer = TuringMachine(
+            states=frozenset({"r", "l"}),
+            alphabet=frozenset({"#", "1"}),
+            transitions={("r", "1"): ("r", "1", "R"), ("r", "#"): ("l", "1", "L"),
+                         ("l", "1"): ("l", "1", "L"), ("l", "#"): ("r", "1", "R")},
+            initial_state="r",
+        )
+        tapes = [{}, {i: "1" for i in range(-30, 40)},
+                 {-2500: "1", -7: "#", 0: "1", 2600: "1", 4000: "#"}]
+        for cells in tapes:
+            for head in (-3, 0, 37):
+                for machine in (RIGHT_WRITER, LEFT_WRITER, RIGHT_MOVER, bouncer):
+                    start = TmConfiguration(cells, head, machine.initial_state)
+                    for max_steps in (1, 63, 64, 65, 1000, 5000):
+                        assert_matches_reference(machine, start, max_steps)
+        spans = []
+        for machine, start, max_steps in random_runs(34, 150):
+            cells = {**start.cells, -3000: "#", 2900: "1"}
+            start = TmConfiguration(cells, start.head, start.state)
+            result = assert_matches_reference(machine, start, max_steps * 17)
+            spans.append(result.config.head)
+        assert min(spans) < -100 and max(spans) > 100
+
+    @pytest.mark.parametrize("limit", [1, 2, 7, 50])
+    def test_tape_budget_matches_the_reference(self, monkeypatch, limit):
+        monkeypatch.setattr(tm_encoding, "MAX_TAPE_CELLS", limit)
+        raised = 0
+        for machine, start, max_steps in random_runs(35 + limit, 300):
+            cells = dict(list(start.cells.items())[:limit])
+            start = TmConfiguration(cells, start.head, start.state)
+            raised += assert_matches_reference(
+                machine, start, max_steps, limit) is None
+        for machine in (RIGHT_WRITER, LEFT_WRITER, RIGHT_MOVER):
+            start = initial_configuration(machine, "")
+            raised += assert_matches_reference(machine, start, 100, limit) is None
+        assert raised
+
+    def test_start_over_the_budget(self, monkeypatch):
+        monkeypatch.setattr(tm_encoding, "MAX_TAPE_CELLS", 3)
+        cells = {i: "1" for i in range(5)}
+        # any step raises at step 1, even one that rewrites a written cell
+        for machine, head in [(UNARY_INCREMENT, 0), (UNARY_INCREMENT, 7),
+                              (RIGHT_MOVER, 9), (LEFT_WRITER, -1)]:
+            start = TmConfiguration(cells, head, machine.initial_state)
+            with pytest.raises(BudgetExceeded,
+                               match=r"MAX_TAPE_CELLS=3 cells at step 1$"):
+                tm_run(machine, start, 10)
+            assert assert_matches_reference(machine, start, 10, 3) is None
+        # a run that takes no step does not raise
+        for machine, state, head, max_steps, reason in [
+                (UNARY_INCREMENT, "accept", 0, 10, "halt_state"),
+                (UNARY_INCREMENT, "scan", 0, 0, "step_limit"),
+                (RIGHT_MOVER, "go", 2, 10, "no_transition"),
+                (LEFT_WRITER, "go", 3, 10, "no_transition")]:
+            start = TmConfiguration(cells, head, state)
+            result = assert_matches_reference(machine, start, max_steps, 3)
+            assert (result.steps, result.reason) == (0, reason)
+
     def test_one_run_builds_one_configuration(self, monkeypatch):
         machine = parse_machine(BUSY_BEAVER_TEXT)
         start = initial_configuration(machine, "")
@@ -350,6 +485,23 @@ class TestConfigurations:
         config = TmConfiguration({}, 3, "s")
         assert config.window("#")[1] == "#"
         assert config.window("#") == (3, "#")
+
+    def test_window_over_its_budget_is_refused(self, monkeypatch):
+        far = TmConfiguration({0: "1", 10**12: "1"}, 0, "s")
+        with pytest.raises(BudgetExceeded, match=r"2\*MAX_TAPE_CELLS=2000000"):
+            far.window("#")
+        monkeypatch.setattr(tm_encoding, "MAX_TAPE_CELLS", 5)
+        assert TmConfiguration({0: "1"}, 9, "s").window("#") == (0, "1" + "#" * 9)
+        assert TmConfiguration({-3: "1", 6: "1"}, 0, "s").window("#")[0] == -3
+        for cells, head in [({0: "1"}, 10), ({0: "1", 10: "1"}, 5),
+                            ({-11: "1"}, -1)]:
+            config = TmConfiguration(cells, head, "scan")
+            with pytest.raises(BudgetExceeded, match="11 cells, more than "
+                                                     r"2\*MAX_TAPE_CELLS=10"):
+                config.window("#")
+            result = tm_run(UNARY_INCREMENT, config, 0)
+            with pytest.raises(BudgetExceeded):
+                result.to_dict(UNARY_INCREMENT)
 
     def test_window_spans_written_cells_and_head(self):
         config = TmConfiguration({2: "1", 4: "1"}, -1, "s")
