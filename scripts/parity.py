@@ -5,14 +5,17 @@ Run from the repository root:
 
     python scripts/parity.py BASE [--scratch DIR]
 
-BASE is a local git revision.  The script checks it out with
-``git worktree add`` under a scratch directory, then runs one fixed
-list of ``chaosmark.cli.main`` calls against that tree and against this
-working tree, each tree in its own Python process.  A record is one call's exit
-code, stdout, stderr and the SHA-256 of every file it wrote, with the
-work directory and both trees' paths normalised.  Every record that
-differs is printed, the last line counts calls and differences, and
-the exit code is 1 if any record differs.  Nothing needs the network.
+BASE is a directory that holds ``src/chaosmark`` (a plain copy of a
+tree, say from ``git archive``), which is run as it is, or else a local
+git revision, which the script checks out with ``git worktree add``
+under a scratch directory.  Only a revision writes into ``.git``.  The
+script runs one fixed list of ``chaosmark.cli.main`` calls against the
+base tree and against this working tree, each tree in its own Python
+process.  A record is one call's exit code, stdout, stderr and the
+SHA-256 of every file it wrote, with the work directory and both
+trees' paths normalised.  Every record that differs is printed, the
+last line counts calls and differences, and the exit code is 1 if any
+record differs.  Nothing needs the network.
 
 The call list is:
 
@@ -388,12 +391,15 @@ def compare(base: list, head: list) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Run one fixed call list against a base revision and "
-                    "this working tree, and print every record that differs.")
-    parser.add_argument("base", nargs="?", help="local git revision to compare against")
+        description="Run one fixed call list against a base tree or revision "
+                    "and this working tree, and print every record that differs.")
+    parser.add_argument("base", nargs="?",
+                        help="directory holding src/chaosmark, or local git "
+                             "revision, to compare against")
     parser.add_argument("--scratch", type=Path,
-                        help="directory for the worktree, inputs and records "
-                             "(default: a new temporary directory, removed after)")
+                        help="directory for a revision's worktree, the inputs and "
+                             "the records (default: a new temporary directory, "
+                             "removed after)")
     parser.add_argument("--run-tree", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--work", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--records", type=Path, help=argparse.SUPPRESS)
@@ -403,22 +409,27 @@ def main(argv=None) -> int:
         run_tree(args.run_tree.resolve(), args.work.resolve(), args.records)
         return 0
     if not args.base:
-        parser.error("a base revision is required")
+        parser.error("a base directory or revision is required")
 
     scratch = (args.scratch or Path(tempfile.mkdtemp(prefix="parity-"))).resolve()
     scratch.mkdir(parents=True, exist_ok=True)
-    worktree = scratch / "base"
-    subprocess.run(["git", "worktree", "add", "--detach", str(worktree), args.base],
-                   check=True, cwd=str(ROOT))
+    worktree = None
+    if (Path(args.base) / "src" / "chaosmark").is_dir():
+        tree = Path(args.base).resolve()
+    else:
+        tree = worktree = scratch / "base"
+        subprocess.run(["git", "worktree", "add", "--detach", str(worktree), args.base],
+                       check=True, cwd=str(ROOT))
     try:
-        base = _records(worktree, scratch, "base")
+        base = _records(tree, scratch, "base")
         head = _records(ROOT, scratch, "head")
         differing = compare(base, head)
         print(f"{len(head)} calls against {args.base}: {differing} records differ")
         return 1 if differing else 0
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(worktree)],
-                       cwd=str(ROOT))
+        if worktree is not None:
+            subprocess.run(["git", "worktree", "remove", "--force", str(worktree)],
+                           cwd=str(ROOT))
         if args.scratch is None:
             shutil.rmtree(scratch, ignore_errors=True)
 

@@ -12,7 +12,9 @@ reads or writes a file.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 import re
 import struct
@@ -229,8 +231,77 @@ def emit(payload: dict, fmt: str, out, kind: str = "kv") -> None:
 
 
 def render_json(payload: dict) -> str:
-    """Strict JSON: a non-finite float raises ValueError, since JSON has none."""
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Strict JSON: the bytes of json.dumps(payload, sort_keys=True,
+    indent=2, allow_nan=False), then a newline.
+
+    With indent, json.dumps runs its pure-Python encoder, several
+    generator frames per number.  Here Python walks only the containers
+    that hold containers.  A scalar, a list or dict of scalars, or a
+    list of non-empty scalar rows goes to json's C encoder in one call,
+    whose item separator carries the indentation.  Whatever that path
+    refuses (NaN or +-inf, a key that is not a str, an unsupported
+    type, a cycle) goes to json.dumps itself, so each error keeps its
+    type and text: a non-finite float raises ValueError, since JSON has
+    none.
+    """
+    chunks: list[str] = []
+    try:
+        _layout(payload, 0, chunks)
+    except (ValueError, TypeError, RecursionError):
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+@functools.cache
+def _block_encoder(depth: int):
+    """json's strict C encoder whose list items sit at depth (two spaces
+    a level); it refuses NaN, +-inf and unsupported types."""
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ": ", ",\n" + "  " * depth, True, False, False)
+
+
+def _scalars(items) -> bool:
+    return not any(issubclass(kind, (dict, list, tuple))
+                   for kind in set(map(type, items)))
+
+
+def _layout(value, depth: int, out: list) -> None:
+    """Append value's indented JSON, its closing line at depth, to out."""
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        out.append("".join(_block_encoder(depth)(value, 0)))
+        return
+    close = "\n" + "  " * depth
+    pad = close + "  "
+    is_dict = isinstance(value, dict)
+    if _scalars(value.values() if is_dict else value):
+        text = "".join(_block_encoder(depth + 1)(value, 0))
+        out += (text[0] + pad, text[1:-1], close + text[-1])
+    elif is_dict:
+        sep = "{" + pad
+        for key, item in sorted(value.items()):
+            # a key that is not a str raises TypeError here
+            out.append(sep + json.encoder.encode_basestring_ascii(key) + ": ")
+            _layout(item, depth + 1, out)
+            sep = "," + pad
+        out.append(close + "}")
+    elif (all(issubclass(kind, (list, tuple)) for kind in set(map(type, value)))
+          and all(map(len, value)) and _scalars(itertools.chain.from_iterable(value))):
+        # One call lays the rows out at depth + 2, row seams included;
+        # ensure_ascii escapes every newline in a string, so a seam
+        # "],\n<pad>[" can only come from a separator.
+        inner = pad + "  "
+        text = "".join(_block_encoder(depth + 2)(value, 0))
+        text = text.replace("]," + inner + "[", pad + "]," + pad + "[" + inner)
+        out += ("[" + pad + "[" + inner, text[2:-2], pad + "]" + close + "]")
+    else:
+        sep = "[" + pad
+        for item in value:
+            out.append(sep)
+            _layout(item, depth + 1, out)
+            sep = "," + pad
+        out.append(close + "]")
 
 
 def _csv_cell(value) -> str:

@@ -405,8 +405,8 @@ class TestExitCodes:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 2 and lines[0] == lines[1]
-        assert lines[0].startswith(
-            "error: Out of range float values are not JSON compliant")
+        assert lines[0] == (
+            "error: Out of range float values are not JSON compliant: inf")
         # the CSV trace still writes the rows
         assert main([*argv, "--format", "csv"]) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[-1] == "3,inf,inf"
