@@ -52,8 +52,8 @@ from .chaos_analysis import (
     witness_sensitivity,
     witness_strong_transitivity,
 )
+from .budget import BudgetExceeded
 from .tm_encoding import (
-    BudgetExceeded,
     MachineParseError,
     TmConfiguration,
     TmRunResult,

@@ -1,0 +1,45 @@
+"""Work budgets: every limit on one command's work, and the one check.
+Each limit caps a quantity known before the work it counts starts, and
+is read when charged, so a test patches it on this module alone."""
+
+
+class BudgetExceeded(ValueError):
+    """A run or its input would exceed a fixed work or memory budget."""
+
+
+# Most terms (head plus one tail block) one strategy series may sum.
+# The Horner sum is quadratic in the count: on a shared 2-core x86 VM,
+# tail periods 97 and 89 (8633 terms) take 0.02 s, and 316 and 315
+# (99540 terms, the largest accepted pair of that shape) 2.1 s.
+MAX_SERIES_TERMS = 10**5
+# Most correction terms one transitivity splice may use; the count is
+# the sum over media components of max(1, ceil(|gap| / N)), so it is at
+# least nv.  Building and walking a splice is linear in the count, and
+# each exact distance over it is a Horner sum quadratic in the count.
+# On a shared 2-core x86 VM, a whole witness with 9973 terms at nv 10
+# takes 0.1-0.2 s, nearly all of it in its three exact series; walking
+# the splice takes 5-10 ms.
+MAX_CORRECTION_TERMS = 10**4
+# Most orbit step-components (steps times nv, plus a scan's setup weight
+# per trial) one scan, trace or expansivity run may walk, counted before
+# any point is drawn.  Through the CLI in process on a shared 2-core x86
+# VM: at nv 8, a trace of 125000 steps takes 0.4 s and a scan of 3875
+# trials of 21 steps 0.45 s; at nv 1, a scan of 10989 trials of one step
+# 1.6 s and a trace of 10^6 steps 5.4-5.5 s, peaking at 417 MiB while its
+# JSON report is built and written.  The default scan (500 trials of 21
+# steps at nv 8) uses 129000.
+MAX_ORBIT_WORK = 10**6
+# Most steps one run may take.  A two-state machine bouncing between two
+# cells runs 10^7 steps in 0.82-0.87 s, and the 5-state busy beaver in
+# 0.94-1.08 s (Python 3.11, shared 2-core x86 VM).
+MAX_TM_STEPS = 10**7
+# Most tape cells one machine configuration may hold written.
+MAX_TAPE_CELLS = 10**6
+
+
+def charge(name: str, amount, what: str) -> None:
+    """Raise BudgetExceeded("<what>, more than <name>=<limit>") when
+    amount is over the limit called name, read at this call."""
+    limit = globals()[name]
+    if amount > limit:
+        raise BudgetExceeded(f"{what}, more than {name}={limit}")

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import budget
 from .phase_space import (
     BoundViolation,
     DimensionMismatch,
@@ -44,29 +45,15 @@ from .phase_space import (
     d_phase,
     iterate_g,
 )
-from .tm_encoding import BudgetExceeded
 
 DEFAULT_TOLERANCE = 1e-9
 
-# Most correction terms one transitivity splice may use; the count is
-# the sum over media components of max(1, ceil(|gap| / N)), so it is at
-# least nv.  Building and walking a splice is linear in the count, and
-# each exact distance over it is a Horner sum quadratic in the count.
-# On a shared 2-core x86 VM, a whole witness with 9973 terms at nv 10
-# takes 0.1-0.2 s, nearly all of it in its three exact series; walking
-# the splice takes 5-10 ms.
-MAX_CORRECTION_TERMS = 10**4
-# Most orbit steps times nv that one scan, trace or expansivity run may
-# walk, counted before any point is drawn.  The walker takes 2-4 us a
-# step up to nv 64 (22 us at nv 1000), but building and seeding a scan
-# trial takes about 0.13 ms, which the budget does not count.  On a
-# shared 2-core x86 VM through the CLI: at nv 8, a trace of 125000 steps
-# takes 1.6 s and a scan of 5000 trials of 25 steps 1.2 s; at nv 1, a
-# scan of 50000 trials of 20 steps 7.9 s, 100000 trials of one step
-# 13 s, and a trace of 10^6 steps 12 s, peaking at 667 MiB while its
-# JSON report is built and written.  The default scan (500 trials of 21
-# steps at nv 8) uses 84000.
-MAX_ORBIT_WORK = 10**6
+# Step-components charged for setting up one scan trial: a seeded
+# generator, a with_term and one exact series sum.  On a shared 2-core
+# x86 VM that took 88-131 us at nv 1, 8 and 64, and a walker step whose
+# series stays nonzero 1.25-1.42 us at nv 1: about 90 such steps.  It is
+# not scaled by nv, since a step's cost per component falls as nv grows.
+_TRIAL_SETUP = 90
 # Most scan trials built and walked beside x at once: 10^5 built trials
 # at nv 1 took 70 MiB.  Through the CLI, a scan of 5000 trials at nv 8
 # peaked at 46 MiB with fans of 2^12, 39 MiB with 2^10 and 35 MiB one
@@ -187,16 +174,16 @@ def _require_trials(trials: int) -> None:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
 
 
-def _require_orbit_budget(walks: int, n_max: int, nv: int) -> None:
-    """Raise BudgetExceeded if walks orbits of n_max + 1 steps at nv
-    exceed MAX_ORBIT_WORK; n_max must be a non-negative integer."""
+def _require_orbit_budget(walks: int, n_max: int, nv: int, setup: int) -> None:
+    """Raise BudgetExceeded if walks orbits of n_max + 1 steps at nv, each
+    set up for `setup` step-components, exceed MAX_ORBIT_WORK; n_max must
+    be a non-negative integer."""
     if not isinstance(n_max, int) or n_max < 0:
         raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
-    steps = walks * (n_max + 1)
-    if steps * nv > MAX_ORBIT_WORK:
-        raise BudgetExceeded(
-            f"an orbit walk of {steps} steps at nv {nv} needs {steps * nv} "
-            f"step-components, more than MAX_ORBIT_WORK={MAX_ORBIT_WORK}")
+    steps, work = walks * (n_max + 1), walks * ((n_max + 1) * nv + setup)
+    built = f" and a setup of {setup} per trial" if setup else ""
+    budget.charge("MAX_ORBIT_WORK", work, f"an orbit walk of {steps} steps "
+                  f"at nv {nv}{built} needs {work} step-components")
 
 
 # ---------- sensitivity ----------
@@ -266,10 +253,8 @@ def _transitivity_candidate(x_a: PhasePoint, x_b: PhasePoint, depth: int,
     gaps = x_b.media - drifted.media
     pieces = np.maximum(1.0, np.ceil(np.abs(gaps) / bound))
     count = float(np.sum(pieces))
-    if count > MAX_CORRECTION_TERMS:
-        raise BudgetExceeded(
-            f"the transitivity splice needs {count:.15g} correction terms, "
-            f"more than MAX_CORRECTION_TERMS={MAX_CORRECTION_TERMS}")
+    budget.charge("MAX_CORRECTION_TERMS", count, f"the transitivity splice "
+                  f"needs {count:.15g} correction terms")
     # component k's gap as n equal pieces gap / n, on n rows in turn
     rows = np.repeat(np.arange(nv), pieces.astype(int))
     corrections = np.zeros((len(rows), nv))
@@ -424,7 +409,7 @@ def expansivity_counterexample(eps: float, n_max: int, space: SpaceConfig,
     BudgetExceeded before the pair is built.
     """
     tolerance = _require_tolerance(tolerance)
-    _require_orbit_budget(1, n_max, space.nv)
+    _require_orbit_budget(1, n_max, space.nv, 0)
     eps = float(eps)
     n = space.bound_n
     nv = space.nv
@@ -533,7 +518,7 @@ def divergence_trace(x: PhasePoint, y: PhasePoint, n_max: int,
 
     More than MAX_ORBIT_WORK steps times nv raise BudgetExceeded.
     """
-    _require_orbit_budget(1, n_max, x.dim)
+    _require_orbit_budget(1, n_max, x.dim, 0)
     walk, media = _orbit_distances(x, [y], n_max, space)
     return OrbitTrace(
         points=np.column_stack([np.arange(n_max + 1), walk, media]),
@@ -574,12 +559,12 @@ def empirical_sensitivity_scan(x: PhasePoint, r: float, trials: int,
     random in-ball perturbations sub-seeded from (seed, trial index).
     The trials are built in order and x walks once against up to
     _SCAN_FAN of them at a time.  Returns max over trials of max over
-    steps 0..n_max of d_phase.  More than MAX_ORBIT_WORK steps times nv,
-    trials * (n_max + 1) * nv, raise BudgetExceeded before any trial is
-    built.
+    steps 0..n_max of d_phase.  More than MAX_ORBIT_WORK
+    step-components, trials * ((n_max + 1) * nv + _TRIAL_SETUP), raise
+    BudgetExceeded before any trial is built.
     """
     _require_trials(trials)
-    _require_orbit_budget(trials, n_max, x.dim)
+    _require_orbit_budget(trials, n_max, x.dim, _TRIAL_SETUP)
     r = float(r)
     k0 = ball_index(r)
     best = 0.0

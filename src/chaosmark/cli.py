@@ -28,6 +28,7 @@ import numpy as np
 from . import fileio
 from .chaos_analysis import (
     DEFAULT_TOLERANCE,
+    _TRIAL_SETUP,
     _require_eps,
     _require_orbit_budget,
     _require_tolerance,
@@ -211,7 +212,7 @@ def _continuity(args, space, seed, points):
 
 def _scan(args, space, seed, points):
     _require_tolerance(args.tolerance)
-    _require_orbit_budget(args.trials, args.n_max, space.nv)
+    _require_orbit_budget(args.trials, args.n_max, space.nv, _TRIAL_SETUP)
     # no trials pass any budget, so check them before x is drawn at nv
     _require_trials(args.trials)
     x = next(points)
@@ -224,7 +225,7 @@ def _scan(args, space, seed, points):
 
 def _trace(args, space, seed, points):
     _require_tolerance(args.tolerance)
-    _require_orbit_budget(1, args.n_max, space.nv)
+    _require_orbit_budget(1, args.n_max, space.nv, 0)
     # the report records both values, whichever of them the pair uses
     ball_index(args.r)
     _require_eps(args.eps)
@@ -413,7 +414,7 @@ def main(argv=None) -> int:
     except (FormatError, MachineParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -184,7 +184,7 @@ def parse_message_text(text: str, nc: int | None) -> np.ndarray:
             value = int(text, 16)
         except ValueError as exc:
             raise FormatError(f"invalid hex message {text!r}") from exc
-        if value >= 1 << nc:
+        if value.bit_length() > nc:
             raise FormatError(
                 f"hex message {text!r} does not fit in {nc} bits")
         raw = np.frombuffer(value.to_bytes((nc + 7) // 8, "big"), np.uint8)

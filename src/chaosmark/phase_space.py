@@ -27,15 +27,10 @@ from itertools import chain, cycle, islice, repeat
 
 import numpy as np
 
-from .tm_encoding import BudgetExceeded
+from . import budget
 
 # Every finite double is an integer multiple of 2^-UNIT_BITS.
 UNIT_BITS = 1074
-# Most terms (head plus one tail block) one strategy series may sum.
-# The Horner sum is quadratic in the count: on a shared 2-core x86 VM,
-# tail periods 97 and 89 (8633 terms) take 0.02 s, and 316 and 315
-# (99540 terms, the largest accepted pair of that shape) 2.1 s.
-MAX_SERIES_TERMS = 10**5
 # Most term components (rows times points times nv) one gather reads:
 # one block of the walker, or one read of a strategy series.  On a
 # shared 2-core x86 VM the default scan took 79, 90 and 117 ms at 2^14,
@@ -298,10 +293,7 @@ def _series_exact(s: Strategy, t: Strategy) -> tuple[int, int]:
     head_len = max(len(s.prefix), len(t.prefix))
     p = math.lcm(s.period, t.period)
     n = head_len + p
-    if n > MAX_SERIES_TERMS:
-        raise BudgetExceeded(
-            f"the strategy series needs {n} terms, "
-            f"more than MAX_SERIES_TERMS={MAX_SERIES_TERMS}")
+    budget.charge("MAX_SERIES_TERMS", n, f"the strategy series needs {n} terms")
     rows = max(1, _BLOCK // s.dim)
     gaps = chain.from_iterable(
         _unit_gaps(_rows(s, k, min(k + rows, n)), _rows(t, k, min(k + rows, n)))

@@ -23,16 +23,10 @@ from dataclasses import dataclass
 from itertools import islice
 from types import MappingProxyType
 
+from . import budget
+from .budget import BudgetExceeded
+
 MOVES = ("L", "R")
-MAX_TAPE_CELLS = 10**6
-# Most steps one run may take.  A two-state machine bouncing between two
-# cells runs 10^7 steps in 0.82-0.87 s, and the 5-state busy beaver in
-# 0.94-1.08 s (Python 3.11, shared 2-core x86 VM).
-MAX_TM_STEPS = 10**7
-
-
-class BudgetExceeded(ValueError):
-    """A run or its input would exceed a fixed work or memory budget."""
 
 
 class MachineParseError(ValueError):
@@ -119,9 +113,10 @@ class TmConfiguration:
         cells = self.cells.copy()  # a dict, whose get outruns the proxy's
         lo = min(min(cells, default=self.head), self.head)
         hi = max(max(cells, default=self.head), self.head)
-        if hi - lo >= 2 * MAX_TAPE_CELLS:
+        limit = budget.MAX_TAPE_CELLS
+        if hi - lo >= 2 * limit:
             raise BudgetExceeded(f"tape window spans {hi - lo + 1} cells, more "
-                                 f"than 2*MAX_TAPE_CELLS={2 * MAX_TAPE_CELLS}")
+                                 f"than 2*MAX_TAPE_CELLS={2 * limit}")
         symbols = [cells.get(i, blank) for i in range(lo, hi + 1)]
         shown = set(cells.values())
         if len(cells) < len(symbols):  # some cell in the window is blank
@@ -143,19 +138,20 @@ def initial_configuration(machine: TuringMachine, tape,
         BudgetExceeded: a non-empty tape and the head span more than
             MAX_TAPE_CELLS cells.
     """
-    symbols = list(islice(tape, MAX_TAPE_CELLS + 1))
+    limit = budget.MAX_TAPE_CELLS
+    symbols = list(islice(tape, limit + 1))
     if not machine.alphabet.issuperset(symbols):
         i, bad = next((i, s) for i, s in enumerate(symbols)
                       if s not in machine.alphabet)
-        if i < MAX_TAPE_CELLS:
+        if i < limit:
             raise ValueError(f"tape symbol {bad!r} not in the alphabet")
-    if len(symbols) > MAX_TAPE_CELLS:
+    if len(symbols) > limit:
         raise BudgetExceeded(
-            f"tape is longer than MAX_TAPE_CELLS={MAX_TAPE_CELLS} cells")
+            f"tape is longer than MAX_TAPE_CELLS={limit} cells")
     cells = dict(enumerate(symbols))
-    if cells and max(len(cells) - 1, head) - min(0, head) >= MAX_TAPE_CELLS:
+    if cells and max(len(cells) - 1, head) - min(0, head) >= limit:
         raise BudgetExceeded(f"tape and head span more than "
-                             f"MAX_TAPE_CELLS={MAX_TAPE_CELLS} cells")
+                             f"MAX_TAPE_CELLS={limit} cells")
     return TmConfiguration(cells, head, machine.initial_state)
 
 
@@ -219,11 +215,11 @@ def tm_run(machine: TuringMachine, config: TmConfiguration,
     if not isinstance(max_steps, int) or max_steps < 0:
         raise ValueError(
             f"max_steps must be a non-negative integer, got {max_steps!r}")
-    if max_steps > MAX_TM_STEPS:
+    if max_steps > budget.MAX_TM_STEPS:
         raise BudgetExceeded(f"max_steps {max_steps} exceeds "
-                             f"MAX_TM_STEPS={MAX_TM_STEPS}")
+                             f"MAX_TM_STEPS={budget.MAX_TM_STEPS}")
     cells, head, state = config.cells, config.head, config.state
-    limit = MAX_TAPE_CELLS
+    limit = budget.MAX_TAPE_CELLS
     symbols = [*machine.alphabet, *(set(cells.values()) - machine.alphabet)]
     code = {s: c for c, s in enumerate(symbols)}
     unwritten, edge = len(symbols), len(symbols) + 1  # codes below are symbols

@@ -19,6 +19,7 @@ from chaosmark import (
     Strategy,
     apply_g,
     ball_index,
+    budget,
     chaos_analysis,
     embed,
     generate_carriers,
@@ -205,7 +206,7 @@ class TestStrongTransitivity:
     def test_correction_budget_is_checked_before_building(self, monkeypatch):
         # gaps 25 and 0 at N = 10 need 3 + 1 correction terms
         x_b = PhasePoint(Strategy(2), [25.0, 0.0])
-        monkeypatch.setattr(chaos_analysis, "MAX_CORRECTION_TERMS", 4)
+        monkeypatch.setattr(budget, "MAX_CORRECTION_TERMS", 4)
         report = witness_strong_transitivity(rest(2), 0.5, x_b, SPACE2)
         assert report.inputs["correction_terms"] == 4
 
@@ -214,7 +215,7 @@ class TestStrongTransitivity:
 
         # np.repeat lays out the corrections, and nothing before it calls it
         monkeypatch.setattr(chaos_analysis.np, "repeat", unbuilt)
-        monkeypatch.setattr(chaos_analysis, "MAX_CORRECTION_TERMS", 3)
+        monkeypatch.setattr(budget, "MAX_CORRECTION_TERMS", 3)
         with pytest.raises(BudgetExceeded,
                            match=r"needs 4 correction terms.*MAX_CORRECTION_TERMS=3"):
             witness_strong_transitivity(rest(2), 0.5, x_b, SPACE2)
@@ -770,25 +771,33 @@ class TestOrbitWalker:
 
 class TestOrbitBudget:
     def test_walks_are_counted_before_any_step(self, monkeypatch):
-        # nv 2: six steps are 12 step-components
-        monkeypatch.setattr(chaos_analysis, "MAX_ORBIT_WORK", 12)
+        # nv 2: six steps are 12 step-components, and a scan of two
+        # trials of three steps adds the setup weight of each trial
+        setup = chaos_analysis._TRIAL_SETUP
+        scan_work = 2 * (3 * 2 + setup)
+        monkeypatch.setattr(budget, "MAX_ORBIT_WORK", 12)
         divergence_trace(rest(2), rest(2), 5, SPACE2)
         expansivity_counterexample(0.5, 5, SPACE2)
+        monkeypatch.setattr(budget, "MAX_ORBIT_WORK", scan_work)
         empirical_sensitivity_scan(rest(2), 0.1, 2, 2, 0, SPACE2)
 
         def unwalked(*args):
             raise AssertionError("an orbit was walked or built")
 
         for name in ("_orbit_distances", "expansivity_pair",
-                     "witness_sensitivity"):
+                     "_sensitivity_point", "_random_ball_perturbation"):
             monkeypatch.setattr(chaos_analysis, name, unwalked)
-        monkeypatch.setattr(chaos_analysis, "MAX_ORBIT_WORK", 11)
+        monkeypatch.setattr(budget, "MAX_ORBIT_WORK", 11)
         over = r"6 steps at nv 2 needs 12 step-components, more than " \
                r"MAX_ORBIT_WORK=11"
         with pytest.raises(BudgetExceeded, match=over):
             divergence_trace(rest(2), rest(2), 5, SPACE2)
         with pytest.raises(BudgetExceeded, match=over):
             expansivity_counterexample(0.5, 5, SPACE2)
+        monkeypatch.setattr(budget, "MAX_ORBIT_WORK", scan_work - 1)
+        over = (f"6 steps at nv 2 and a setup of {setup} per trial needs "
+                f"{scan_work} step-components, more than "
+                f"MAX_ORBIT_WORK={scan_work - 1}")
         with pytest.raises(BudgetExceeded, match=over):
             empirical_sensitivity_scan(rest(2), 0.1, 2, 2, 0, SPACE2)
 

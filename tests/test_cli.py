@@ -9,8 +9,8 @@ import json
 import numpy as np
 import pytest
 
-from chaosmark import (SchemeConfig, chaos_analysis, cli, fileio,
-                       generate_carriers, tm_encoding)
+from chaosmark import (SchemeConfig, budget, chaos_analysis, cli, fileio,
+                       generate_carriers)
 from chaosmark.cli import EXIT_FALSE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from pgm_oracle import read_vector_pgm
 
@@ -232,15 +232,18 @@ class TestExitCodes:
         assert err.endswith("more than MAX_CORRECTION_TERMS=10000\n")
 
     @pytest.mark.parametrize("argv,work", [
-        (["scan", "--r", "0.01", "--trials", "500", "--n-max", "250"], 1004000),
+        (["scan", "--r", "0.01", "--trials", "500", "--n-max", "250"], 1049000),
         (["scan", "--r", "0.01", "--nv", "2000000", "--trials", "1",
-          "--n-max", "0"], 2000000),
+          "--n-max", "0"], 2000090),
+        # 10^6 steps at nv 1 pass; the trials' setup weight does not
+        (["scan", "--r", "0.01", "--nv", "1", "--trials", "1000000",
+          "--n-max", "0"], 91000000),
         (["trace", "--n-max", "125000"], 1000008),
         (["trace", "--pair", "expansivity", "--nv", "2000000",
           "--n-max", "0"], 2000000),
         (["expansivity", "--eps", "0.5", "--n-max", "125000"], 1000008),
         (["expansivity", "--eps", "0.5", "--nv", "2000000"], 202000000),
-    ], ids=["scan", "scan-nv", "trace", "trace-nv", "expansivity",
+    ], ids=["scan", "scan-nv", "scan-setup", "trace", "trace-nv", "expansivity",
             "expansivity-nv"])
     def test_orbit_budget_is_usage_error(self, argv, work, capsys,
                                          monkeypatch):
@@ -266,6 +269,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate 7.45 GiB ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_wide_hex_message_is_usage_error(self, tmp_path, capsys,
+                                             host_json):
+        # no 2^nc integer is built; laying out 10^20 bits overflows an index
+        assert main(["embed", "--scheme", "iss", "--host", str(host_json),
+                     "--message", "0x1", "--nc", str(10**20),
+                     "--out", str(tmp_path / "s.json")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_scan_trials_are_checked_before_a_point_is_drawn(
@@ -293,11 +306,14 @@ class TestExitCodes:
         parser = cli.build_parser()
         scan = parser.parse_args(["analyze", "scan", "--r", "0.01"])
         assert scan.trials * (scan.n_max + 1) * scan.nv * 10 <= \
-            chaos_analysis.MAX_ORBIT_WORK
+            budget.MAX_ORBIT_WORK
+        weighted = scan.trials * ((scan.n_max + 1) * scan.nv
+                                  + chaos_analysis._TRIAL_SETUP)
+        assert weighted * 2 <= budget.MAX_ORBIT_WORK
         for argv in (["trace"], ["expansivity", "--eps", "0.5"]):
             args = parser.parse_args(["analyze", *argv])
             assert (args.n_max + 1) * args.nv * 10 <= \
-                chaos_analysis.MAX_ORBIT_WORK
+                budget.MAX_ORBIT_WORK
 
     def test_negative_env_seed_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("CHAOSMARK_SEED", "-3")
@@ -590,7 +606,7 @@ class TestTm:
     ])
     def test_tape_budget_is_usage_error(self, tmp_path, capsys, monkeypatch,
                                         extra):
-        monkeypatch.setattr(tm_encoding, "MAX_TAPE_CELLS", 20)
+        monkeypatch.setattr(budget, "MAX_TAPE_CELLS", 20)
         machine = tmp_path / "writer.tm"
         machine.write_text("states: go\nalphabet: 1 #\ninitial: go\n"
                            "go 1 -> go 1 R\ngo # -> go 1 R\n")

@@ -16,7 +16,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from chaosmark import chaos_analysis
+from chaosmark import budget
 from chaosmark.cli import main
 
 EXAMPLES = 150
@@ -78,8 +78,9 @@ HOST = '{"nv": 8, "data": [0.5, -1.0, 2.0, 0.25, -0.75, 1.5, -2.0, 1.0]}\n'
 # in most cases one option set to a bad one.  The orbit budget is cut to
 # ORBIT_WORK for these cases, so every run it lets through is short, and
 # it refuses a huge --nv before a point is drawn; continuity has no such
-# budget yet, so its --nv stays small.
-ORBIT_WORK = 4000
+# budget yet, so its --nv stays small.  The cut still lets the scan's
+# 20 trials of 21 steps at nv 8 through, setup weight included (5160).
+ORBIT_WORK = 5200
 BAD = st.sampled_from(["x", "", "1.5", "nan", "inf", "-inf", "-1", "0"])
 COUNTS = st.sampled_from(["0", "1", "2", "3", "20", "1000000000",
                           "99999999999999999999999"])
@@ -175,7 +176,7 @@ def test_tm_survives_hostile_tape_files(work, tape):
 @pytest.fixture(scope="module")
 def small_orbit_budget():
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(chaos_analysis, "MAX_ORBIT_WORK", ORBIT_WORK)
+        patch.setattr(budget, "MAX_ORBIT_WORK", ORBIT_WORK)
         yield
 
 

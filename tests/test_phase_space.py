@@ -19,6 +19,7 @@ from chaosmark import (
     Strategy,
     apply_g,
     as_vector,
+    budget,
     check_strategy_bounds,
     d_inf,
     d_phase,
@@ -613,14 +614,14 @@ class TestExactSeries:
         s = Strategy(1, [[1.0], [2.0]], [[3.0], [4.0]])
         t = Strategy(1, (), [[5.0], [6.0], [7.0]])
         space = SpaceConfig(nv=1)
-        monkeypatch.setattr(phase_space, "MAX_SERIES_TERMS", 8)
+        monkeypatch.setattr(budget, "MAX_SERIES_TERMS", 8)
         assert d_strategy(s, t, space) == d_strategy_exact(s, t, space)
 
         def unread(*args):
             raise AssertionError("a series term was read")
 
         monkeypatch.setattr(phase_space, "_rows", unread)
-        monkeypatch.setattr(phase_space, "MAX_SERIES_TERMS", 7)
+        monkeypatch.setattr(budget, "MAX_SERIES_TERMS", 7)
         with pytest.raises(BudgetExceeded,
                            match=r"needs 8 terms, more than MAX_SERIES_TERMS=7"):
             d_strategy(s, t, space)

@@ -14,7 +14,7 @@ from chaosmark import (
     parse_machine,
     tm_run,
 )
-from chaosmark import tm_encoding
+from chaosmark import budget
 
 UNARY_INCREMENT = TuringMachine(
     states=frozenset({"scan", "accept"}),
@@ -348,7 +348,7 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("limit", [1, 2, 7, 50])
     def test_tape_budget_matches_the_reference(self, monkeypatch, limit):
-        monkeypatch.setattr(tm_encoding, "MAX_TAPE_CELLS", limit)
+        monkeypatch.setattr(budget, "MAX_TAPE_CELLS", limit)
         raised = 0
         for machine, start, max_steps in random_runs(35 + limit, 300):
             cells = dict(list(start.cells.items())[:limit])
@@ -361,7 +361,7 @@ class TestAgainstReference:
         assert raised
 
     def test_start_over_the_budget(self, monkeypatch):
-        monkeypatch.setattr(tm_encoding, "MAX_TAPE_CELLS", 3)
+        monkeypatch.setattr(budget, "MAX_TAPE_CELLS", 3)
         cells = {i: "1" for i in range(5)}
         # any step raises at step 1, even one that rewrites a written cell
         for machine, head in [(UNARY_INCREMENT, 0), (UNARY_INCREMENT, 7),
@@ -399,7 +399,7 @@ class TestAgainstReference:
 
 class TestTapeBudget:
     def test_run_stops_at_the_budget(self, monkeypatch):
-        monkeypatch.setattr(tm_encoding, "MAX_TAPE_CELLS", 50)
+        monkeypatch.setattr(budget, "MAX_TAPE_CELLS", 50)
         start = initial_configuration(RIGHT_WRITER, "")
         assert len(tm_run(RIGHT_WRITER, start, 50).config.cells) == 50
         with pytest.raises(BudgetExceeded, match="MAX_TAPE_CELLS=50.*step 51"):
@@ -410,14 +410,14 @@ class TestTapeBudget:
         assert full.steps == 50
 
     def test_step_stops_at_the_budget(self, monkeypatch):
-        monkeypatch.setattr(tm_encoding, "MAX_TAPE_CELLS", 1)
+        monkeypatch.setattr(budget, "MAX_TAPE_CELLS", 1)
         start = initial_configuration(RIGHT_WRITER, "")
         config = tm_run(RIGHT_WRITER, start, 1).config
         with pytest.raises(BudgetExceeded):
             tm_run(RIGHT_WRITER, config, 1)
 
     def test_initial_tape_over_the_budget_is_rejected(self, monkeypatch):
-        monkeypatch.setattr(tm_encoding, "MAX_TAPE_CELLS", 5)
+        monkeypatch.setattr(budget, "MAX_TAPE_CELLS", 5)
         assert len(initial_configuration(UNARY_INCREMENT, "11111").cells) == 5
         with pytest.raises(BudgetExceeded, match="MAX_TAPE_CELLS=5"):
             initial_configuration(UNARY_INCREMENT, "111111")
@@ -431,7 +431,7 @@ class TestTapeBudget:
             initial_configuration(UNARY_INCREMENT, iter("1" * 10**9))
 
     def test_head_far_from_the_tape_is_rejected(self, monkeypatch):
-        monkeypatch.setattr(tm_encoding, "MAX_TAPE_CELLS", 5)
+        monkeypatch.setattr(budget, "MAX_TAPE_CELLS", 5)
         for head in (4, -3):  # cells 0..4 and -3..1: five cells each
             assert initial_configuration(UNARY_INCREMENT, "11", head).head == head
         for head in (5, -4, 10**20, -10**20):
@@ -442,17 +442,17 @@ class TestTapeBudget:
 
     def test_budget_is_a_value_error(self):
         assert issubclass(BudgetExceeded, ValueError)
-        assert tm_encoding.MAX_TAPE_CELLS == 10**6
-        assert tm_encoding.MAX_TM_STEPS == 10**7
+        assert budget.MAX_TAPE_CELLS == 10**6
+        assert budget.MAX_TM_STEPS == 10**7
 
 
 class TestStepBudget:
     def test_run_over_the_budget_raises_before_stepping(self, monkeypatch):
-        monkeypatch.setattr(tm_encoding, "MAX_TM_STEPS", 20)
+        monkeypatch.setattr(budget, "MAX_TM_STEPS", 20)
         start = initial_configuration(RIGHT_WRITER, "")
         assert tm_run(RIGHT_WRITER, start, 20).steps == 20
         # a first step would write past an empty tape budget
-        monkeypatch.setattr(tm_encoding, "MAX_TAPE_CELLS", 0)
+        monkeypatch.setattr(budget, "MAX_TAPE_CELLS", 0)
         with pytest.raises(BudgetExceeded,
                            match="max_steps 21 exceeds MAX_TM_STEPS=20"):
             tm_run(RIGHT_WRITER, start, 21)
@@ -490,7 +490,7 @@ class TestConfigurations:
         far = TmConfiguration({0: "1", 10**12: "1"}, 0, "s")
         with pytest.raises(BudgetExceeded, match=r"2\*MAX_TAPE_CELLS=2000000"):
             far.window("#")
-        monkeypatch.setattr(tm_encoding, "MAX_TAPE_CELLS", 5)
+        monkeypatch.setattr(budget, "MAX_TAPE_CELLS", 5)
         assert TmConfiguration({0: "1"}, 9, "s").window("#") == (0, "1" + "#" * 9)
         assert TmConfiguration({-3: "1", 6: "1"}, 0, "s").window("#")[0] == -3
         for cells, head in [({0: "1"}, 10), ({0: "1", 10: "1"}, 5),
