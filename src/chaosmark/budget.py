@@ -35,6 +35,12 @@ MAX_ORBIT_WORK = 10**6
 MAX_TM_STEPS = 10**7
 # Most tape cells one machine configuration may hold written.
 MAX_TAPE_CELLS = 10**6
+# Widest message (--nc) one embed may ask for, checked before its bits
+# are laid out at about one byte a bit.  On a shared 2-core x86 VM
+# the layout of 10^6 bits took 0.8 ms and peaked at 1.1 MB (tracemalloc;
+# 10^7 bits: 4.7 ms and 11 MB).  No wider message can be embedded: its
+# carriers alone hold nv * nc >= nc^2 doubles.
+MAX_MESSAGE_BITS = 10**6
 
 
 def charge(name: str, amount, what: str) -> None:

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import budget
 from .phase_space import as_vector
 
 SCHEMA = "chaosmark/3"
@@ -170,10 +171,13 @@ def parse_message_text(text: str, nc: int | None) -> np.ndarray:
     Accepts a bit string ("0101" or "0b0101", of length nc; with nc None
     its length is the width) or hex ("0x2a"), whose integer value is
     rendered MSB-first into nc bits and must fit.  An nc below 1, or hex
-    without nc, raises ValueError; a malformed literal, FormatError.
+    without nc, raises ValueError; an nc over MAX_MESSAGE_BITS,
+    BudgetExceeded; a malformed literal, FormatError.
     """
     if nc is not None and nc < 1:
         raise ValueError(f"nc must be a positive integer, got {nc!r}")
+    if nc is not None:
+        budget.charge("MAX_MESSAGE_BITS", nc, f"a message of --nc {nc} bits")
     text = text.strip()
     if not text:
         raise FormatError("empty message")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, cycle, islice, repeat
+from itertools import chain, islice
 
 import numpy as np
 
@@ -32,16 +32,16 @@ from . import budget
 # Every finite double is an integer multiple of 2^-UNIT_BITS.
 UNIT_BITS = 1074
 # Most term components (rows times points times nv) one gather reads:
-# one block of the walker, or one read of a strategy series.  On a
+# one block of an orbit walk, or one read of a strategy series.  On a
 # shared 2-core x86 VM the default scan took 79, 90 and 117 ms at 2^14,
 # 2^13 and 2^12 (163 ms walking one trial at a time), and a 20-trial
 # scan at nv 64 peaked at 575, 358 and 279 KiB under tracemalloc (65 KiB
 # one trial at a time); 2^13 keeps each temporary near 64 KiB.
 _BLOCK = 2**13
-# Widest block (points times nv) whose media one np.add.accumulate
-# forms, which costs about 25 ns a column; wider ones add row by row at
-# 1-4 us a row.  On that VM the two broke even at 512-768 columns.
-_WIDE = 512
+# Widest row (points times nv) one accumulate adds, at about 5 ns a
+# component; wider rows add one at a time, at about 1 us a row.  On that
+# VM _walk broke even at 224 columns: 40 against 39 us on 8192 components.
+_WIDE = 224
 
 
 class DimensionMismatch(ValueError):
@@ -191,12 +191,6 @@ def _rows(s: Strategy, start: int, stop: int) -> np.ndarray:
                    else tail)
 
 
-def _terms(s: Strategy):
-    """Iterator over the terms of s in order, one row each, without end."""
-    rest = cycle(s.tail) if len(s.tail) else repeat(_frozen(np.zeros(s.dim)))
-    return chain(s.prefix, rest)
-
-
 def _rest(s: Strategy, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Prefix and tail of s with its first n >= 1 terms dropped: slices
     of its blocks, except that a periodic tail rotates a copy."""
@@ -245,18 +239,36 @@ def apply_g(x: PhasePoint) -> PhasePoint:
 def iterate_g(x: PhasePoint, n: int) -> PhasePoint:
     """n-fold composition of apply_g (n = 0 returns x unchanged).
 
-    The media absorbs terms 0..n-1 in order and the strategy drops them
-    at once.  Terms are finite, so a sum that overflows stays +-inf and
-    the final media check raises ValueError.
-    """
+    The media absorbs terms 0..n-1 in order, a block of rows at a time
+    through _walk, and the strategy drops them at once; a media that
+    overflows raises ValueError."""
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"iteration count must be a non-negative integer, got {n!r}")
     if not n:
         return x
-    media = x.media
-    for term in islice(_terms(x.strategy), n):
-        media = term + media
-    return PhasePoint(_dropped(x.strategy, n), media)
+    s, media, rows = x.strategy, x.media, max(1, _BLOCK // x.dim)
+    for k in range(0, n, rows):
+        media = _walk(np.array(_rows(s, k, min(k + rows, n))), media)
+    return PhasePoint(_dropped(s, n), media)
+
+
+def _walk(walked: np.ndarray, media: np.ndarray) -> np.ndarray:
+    """Turn walked, a fresh, writable (steps, ..., nv) block of term rows,
+    in place into each point's media after each step from media before
+    the first; return the last row.  One accumulate adds rows of up to
+    _WIDE components, wider ones add one at a time; both add in order, so
+    the bits are those of adding term by term.  An overflowed media stays
+    +-inf (terms are finite), so the last row's check raises ValueError."""
+    if media.size > _WIDE:
+        for row in walked:
+            row += media
+            media = row
+    else:
+        walked[0] += media
+        np.add.accumulate(walked, axis=0, out=walked)
+    if not np.isfinite(walked[-1]).all():
+        raise ValueError("vector components must be finite")
+    return walked[-1]
 
 
 # ---------- metric ----------
@@ -343,10 +355,8 @@ def _orbit_distances(x: PhasePoint, ys, n_max: int, space: SpaceConfig,
     Returns two float64 arrays of shape (n_max + 1, len(ys)).  The one
     walker of orbits builds no point: x walks once in lockstep with
     every companion, a block of steps at a time.  Each block gathers
-    the term rows of every point, forms the media in place with one
-    np.add.accumulate, or row by row past _WIDE columns (both add in
-    order, so the bits are those of adding term by term), and takes
-    the media distances as one row max.
+    every point's term rows, turns them into media with _walk, and
+    takes the media distances as one row max.
     Each companion's strategy series is summed once, then stepped by the
     exact shift recurrence S' = 10 * (S - d_inf(x_k, y_k)), whose
     termwise distances are read only while S is not 0.  Every distance
@@ -386,18 +396,7 @@ def _orbit_distances(x: PhasePoint, ys, n_max: int, space: SpaceConfig,
                         break
                 nums[j] = num
                 d_series[start + 1:start + 1 + len(column), j] = column
-        # each point's media after each step, added in order in place
-        walked = terms
-        walked[:, 0] += media
-        if media.size > _WIDE:
-            for i in range(1, stop - start):
-                walked[:, i] += walked[:, i - 1]
-        else:
-            np.add.accumulate(walked, axis=1, out=walked)
-        media = walked[:, -1].copy()
-        # adding finite terms never brings a non-finite media back
-        if not np.isfinite(media).all():
-            raise ValueError("vector components must be finite")
-        gap = walked[1:] - walked[0]
+        media = _walk(terms.swapaxes(0, 1), media)
+        gap = terms[1:] - terms[0]
         d_media[start + 1:stop + 1] = np.abs(gap, out=gap).max(axis=2).T
     return d_media + d_series, d_media

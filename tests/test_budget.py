@@ -27,6 +27,7 @@ from chaosmark import (
     tm_run,
     witness_strong_transitivity,
 )
+from chaosmark.fileio import parse_message_text
 
 SPACE = SpaceConfig(nv=2)
 WALKER = parse_machine("states: a\nalphabet: 1 #\ninitial: a\na 1 -> a 1 R\n")
@@ -54,12 +55,17 @@ def _tape():
     initial_configuration(WALKER, "11")
 
 
+def _message():
+    parse_message_text("0x1", 2)
+
+
 @pytest.mark.parametrize("name, call", [
     ("MAX_SERIES_TERMS", _series),
     ("MAX_CORRECTION_TERMS", _splice),
     ("MAX_ORBIT_WORK", _orbit),
     ("MAX_TM_STEPS", _steps),
     ("MAX_TAPE_CELLS", _tape),
+    ("MAX_MESSAGE_BITS", _message),
 ])
 def test_each_limit_is_read_from_the_budget_module(name, call, monkeypatch):
     call()

@@ -3,7 +3,6 @@
 import math
 import re
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -320,9 +319,8 @@ class TestBlocks:
 
     def test_terms_past_a_zero_tail_are_read_only(self):
         s = Strategy(2, [[1.0, 2.0]])
-        walked = phase_space._terms(s)
         rows = [*phase_space._rows(s, 0, 4), *phase_space._rows(s, 2, 6)]
-        for t in (s.term(1), s.term(7), *islice(walked, 4), *rows):
+        for t in (s.term(1), s.term(7), *rows):
             assert not t.flags.writeable
         assert s.term(3).tolist() == [0.0, 0.0]
 
@@ -411,16 +409,39 @@ class TestMap:
             with pytest.raises(ValueError, match="finite"):
                 iterate_g(x, 5)
 
-    def test_long_prefix_matches_an_in_order_sum(self):
-        rng = np.random.default_rng(10)
-        terms = [rng.uniform(-10.0, 10.0, 10) for _ in range(10**4)]
-        x = PhasePoint(Strategy(10, terms), rng.uniform(-5.0, 5.0, 10))
+    def test_wide_media_overflow_mid_block_raises(self):
+        # nv 1024 adds row by row, in blocks of 8 rows for iterate_g and
+        # 4 for the walker of two points; the media overflows at step 10,
+        # in the middle of a block for both
+        terms = np.zeros((20, 1024))
+        terms[10, 5] = 1e308
+        media = np.zeros(1024)
+        media[5] = 1e308
+        x = PhasePoint(Strategy(1024, terms), media)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                iterate_g(x, 20)
+            with pytest.raises(ValueError, match="finite"):
+                phase_space._orbit_distances(x, [x], 20, SpaceConfig(nv=1024))
+
+    @pytest.mark.parametrize("period", [0, 7], ids=["prefix", "tail"])
+    @pytest.mark.parametrize("nv", [10, phase_space._WIDE,
+                                    phase_space._WIDE + 1, 1024, 4096])
+    def test_long_prefix_matches_an_in_order_sum(self, nv, period):
+        # several blocks of _BLOCK // nv rows, on both sides of _WIDE,
+        # through a long prefix or deep into a periodic tail
+        rng = np.random.default_rng(nv)
+        n = 10**4 if nv == 10 else 5 * (phase_space._BLOCK // nv) + 3
+        s = Strategy(nv, rng.uniform(-10.0, 10.0, (3 if period else n, nv)),
+                     rng.uniform(-10.0, 10.0, (period, nv)))
+        x = PhasePoint(s, rng.uniform(-5.0, 5.0, nv))
         want = np.array(x.media)
-        for term in x.strategy.prefix:
-            want = term + want
-        got = iterate_g(x, 10**4)
+        for k in range(n):
+            want = s.term(k) + want
+        got = iterate_g(x, n)
         assert got.media.tobytes() == want.tobytes()
-        assert got.strategy.prefix.shape == got.strategy.tail.shape == (0, 10)
+        assert [got.strategy.term(k).tobytes() for k in range(8)] == [
+            s.term(n + k).tobytes() for k in range(8)]
 
     def test_point_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
