@@ -58,11 +58,11 @@ def write_vector(path, vec) -> None:
     vec = as_vector(vec)
     suffix = path.suffix.lower()
     if suffix == ".json":
-        payload = {"nv": int(vec.size), "data": [float(v) for v in vec]}
+        payload = {"nv": int(vec.size), "data": vec.tolist()}
         path.write_text(json.dumps(payload, sort_keys=True) + "\n",
                         encoding="utf-8")
     elif suffix == ".csv":
-        path.write_text("".join(f"{float(v)!r}\n" for v in vec),
+        path.write_text("".join(f"{v!r}\n" for v in vec.tolist()),
                         encoding="utf-8")
     else:
         raise FormatError(
@@ -91,7 +91,7 @@ def _read_vector_json(path: Path) -> np.ndarray:
     if payload["nv"] != len(data):
         raise FormatError(
             f'{path}: "nv" is {payload["nv"]} but "data" has {len(data)} entries')
-    if not all(type(v) in (int, float) for v in data):
+    if not set(map(type, data)) <= {int, float}:
         raise FormatError(f'{path}: "data" entries must be JSON numbers')
     try:
         return as_vector(data)

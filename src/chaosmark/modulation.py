@@ -16,6 +16,7 @@ bit i.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -106,7 +107,9 @@ class CarrierSet:
         if not np.all(np.isfinite(mat)):
             raise CarrierError("carrier components must be finite")
         mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        # A view of a read-only base cannot be made writable again, so a
+        # set shared through the carrier cache stays intact.
+        object.__setattr__(self, "matrix", mat.view())
 
     @property
     def nc(self) -> int:
@@ -139,10 +142,23 @@ def generate_carriers(cfg: SchemeConfig) -> CarrierSet:
     With orthonormalize set the rows are the QR basis of the draw, signed
     so that R has a positive diagonal: the Gram-Schmidt basis of the
     rows, up to rounding.
+
+    The last carrier set is kept in process memory and returned again
+    for the same (key, nv, nc, orthonormalize), whatever the scheme or
+    amplitudes, so an embed and a decode with one key pay for one draw.
+    It is derived secret material, held until a call with another key
+    or size replaces it.
     """
-    rng = np.random.Generator(np.random.Philox(key=cfg.key))
-    mat = rng.standard_normal((cfg.nc, cfg.nv))
-    if cfg.orthonormalize:
+    return _carriers(cfg.key, cfg.nv, cfg.nc, cfg.orthonormalize)
+
+
+# One entry: a round trip reuses its own draw, and at most one secret
+# set (32 MiB at 4096 x 1024) stays in memory.
+@functools.lru_cache(maxsize=1)
+def _carriers(key: int, nv: int, nc: int, orthonormalize: bool) -> CarrierSet:
+    rng = np.random.Generator(np.random.Philox(key=key))
+    mat = rng.standard_normal((nc, nv))
+    if orthonormalize:
         q, r = np.linalg.qr(mat.T)
         diag = np.diag(r)
         if np.any(np.abs(diag) < 1e-12):

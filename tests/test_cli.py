@@ -8,6 +8,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chaosmark import (SchemeConfig, budget, chaos_analysis, cli, fileio,
                        generate_carriers)
@@ -753,6 +754,41 @@ class TestFileio:
         vec = np.array([0.1, -0.2, 3.0])
         fileio.write_vector(path, vec)
         assert np.array_equal(fileio.read_vector(path), vec)
+
+    # Floats whose shortest repr is easy to get wrong: signed zero, the
+    # smallest subnormal, and the repr switches to exponent notation.
+    EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e-05, 1e16, -1e16, 0.1, 1.5e300)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.lists(st.sampled_from(EDGE_FLOATS)
+                    | st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=40))
+    def test_vector_bytes_match_per_element_writer(self, tmp_path_factory, values):
+        """write_vector's bytes are those of the per-element float() writer."""
+        vec = np.array(values, dtype=np.float64)
+        want = {
+            ".json": json.dumps({"nv": int(vec.size),
+                                 "data": [float(v) for v in vec]},
+                                sort_keys=True) + "\n",
+            ".csv": "".join(f"{float(v)!r}\n" for v in vec),
+        }
+        folder = tmp_path_factory.mktemp("vec")
+        for suffix, text in want.items():
+            path = folder / f"v{suffix}"
+            fileio.write_vector(path, vec)
+            assert path.read_bytes() == text.encode("utf-8")
+            assert fileio.read_vector(path).tobytes() == vec.tobytes()
+
+    def test_vector_json_entries_are_numbers_not_booleans(self, tmp_path):
+        path = tmp_path / "v.json"
+        path.write_text('{"nv": 3, "data": [1, 2.5, -0.0]}')
+        assert fileio.read_vector(path).tolist() == [1.0, 2.5, -0.0]
+        for nv, data in ((1, "[true]"), (2, "[1, false]"), (2, "[1.0, null]"),
+                         (1, "[[1.0]]")):
+            path.write_text(f'{{"nv": {nv}, "data": {data}}}')
+            with pytest.raises(fileio.FormatError,
+                               match='"data" entries must be JSON numbers'):
+                fileio.read_vector(path)
 
     def test_unsupported_extensions(self, tmp_path):
         with pytest.raises(fileio.FormatError):

@@ -44,6 +44,19 @@ def cfg(**kw):
     return SchemeConfig(**base)
 
 
+@pytest.fixture(autouse=True)
+def fresh_carrier_cache():
+    """Start and end every test with no cached carrier set.
+
+    A set cached by an earlier test would let a test that patches the
+    draw skip the patched generator, and a set drawn under a patch must
+    not reach a later test.
+    """
+    modulation._carriers.cache_clear()
+    yield
+    modulation._carriers.cache_clear()
+
+
 class TestCarriers:
     def test_same_key_reproduces_carriers(self):
         a = generate_carriers(cfg(nv=16, nc=4, key=11))
@@ -101,8 +114,93 @@ class TestCarriers:
         with pytest.raises(ValueError):
             c.matrix[0, 0] = 1.0
 
+    def test_matrix_cannot_be_made_writable(self):
+        c = generate_carriers(cfg(nv=4, nc=2))
+        with pytest.raises(ValueError):
+            c.matrix.setflags(write=True)
+        with pytest.raises(ValueError):
+            CarrierSet(np.eye(3)).matrix.setflags(write=True)
+
     def test_indexing(self):
         assert EYE2.nc == 2 and EYE2.nv == 2
+
+
+def carrier_cache():
+    info = modulation._carriers.cache_info()
+    return info.hits, info.misses, info.currsize
+
+
+class TestCarrierCache:
+    """generate_carriers keeps its last set, keyed by (key, nv, nc, orthonormalize)."""
+
+    BASE = dict(nv=16, nc=4, key=11)
+
+    def test_other_scheme_parameters_reuse_the_set(self):
+        first = generate_carriers(cfg(**self.BASE))
+        for amplitudes in (dict(gamma=20.0), dict(alpha=-3.0, lam=0.25),
+                           dict(eta=0.5), dict(bound_n=99.0)):
+            assert generate_carriers(cfg(**self.BASE, **amplitudes)) is first
+        assert carrier_cache() == (4, 1, 1)
+
+    @pytest.mark.parametrize("scheme", ["ss", "iss", "nw"])
+    def test_round_trip_draws_once(self, scheme):
+        # gamma 20 lifts ss clear of the host; decode's config keeps the
+        # defaults, and still hits the set embed drew.
+        conf = cfg(nv=64, nc=16, key=2**63 + 5, gamma=20.0)
+        host = np.random.default_rng(3).uniform(-2.0, 2.0, 64)
+        m = np.random.default_rng(4).integers(0, 2, 16)
+        y = embed(host, m, generate_carriers(conf), conf, scheme)
+        got = decode(y, generate_carriers(cfg(nv=64, nc=16, key=2**63 + 5)), scheme)
+        assert np.array_equal(got.bits, m)
+        assert carrier_cache() == (1, 1, 1)
+
+    @pytest.mark.parametrize("change", [
+        dict(key=12), dict(nv=17), dict(nc=5), dict(orthonormalize=False)])
+    def test_another_field_draws_again(self, change):
+        first = generate_carriers(cfg(**self.BASE))
+        conf = cfg(**{**self.BASE, **change})
+        second = generate_carriers(conf)
+        assert second is not first
+        assert carrier_cache() == (0, 2, 1)
+        modulation._carriers.cache_clear()
+        assert generate_carriers(conf).matrix.tobytes() == second.matrix.tobytes()
+
+    @pytest.mark.parametrize("nv,nc", [(8, 8), (257, 48), (1024, 128)])
+    def test_hit_is_bit_identical_to_a_fresh_draw(self, nv, nc):
+        conf = cfg(nv=nv, nc=nc, key=2**64 - 1)
+        drawn = generate_carriers(conf)
+        hit = generate_carriers(conf)
+        assert hit is drawn and carrier_cache() == (1, 1, 1)
+        modulation._carriers.cache_clear()
+        fresh = generate_carriers(conf)
+        assert fresh is not hit
+        assert hit.matrix.tobytes() == fresh.matrix.tobytes()
+        want = gram_schmidt_carriers(conf).matrix
+        assert np.max(np.abs(hit.matrix - want)) <= 1e-12
+
+    def test_cache_holds_one_set(self):
+        assert modulation._carriers.cache_info().maxsize == 1
+        sets = [generate_carriers(cfg(nv=16, nc=4, key=k)) for k in range(5)]
+        assert carrier_cache() == (0, 5, 1)
+        assert generate_carriers(cfg(nv=16, nc=4, key=4)) is sets[-1]
+        assert generate_carriers(cfg(nv=16, nc=4, key=0)) is not sets[0]
+        assert carrier_cache() == (1, 6, 1)
+
+    def test_carrier_error_is_raised_on_every_call(self, monkeypatch):
+        class ZeroDraw:
+            """A draw of all zeros: no carrier is independent of the others."""
+
+            def __init__(self, bit_generator):
+                pass
+
+            def standard_normal(self, shape):
+                return np.zeros(shape)
+
+        monkeypatch.setattr(modulation.np.random, "Generator", ZeroDraw)
+        for _ in range(2):
+            with pytest.raises(CarrierError, match="not linearly independent"):
+                generate_carriers(cfg(nv=8, nc=3, key=5))
+        assert carrier_cache() == (0, 2, 0)
 
 
 class TestMessages:
