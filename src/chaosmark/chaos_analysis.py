@@ -440,9 +440,8 @@ def expansivity_counterexample(eps: float, n_max: int, space: SpaceConfig,
 
 def _perturbed(x: PhasePoint, s: float) -> PhasePoint:
     """x with media component 0 and strategy term 0 component 0 bumped by s."""
-    term = np.array(x.strategy.term(0), dtype=np.float64)
+    term, media = np.array(x.strategy.term(0)), np.array(x.media)
     term[0] += s
-    media = np.array(x.media, dtype=np.float64)
     media[0] += s
     return PhasePoint(x.strategy.with_term(0, term), media)
 

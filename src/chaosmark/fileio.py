@@ -42,14 +42,16 @@ def read_vector(path) -> np.ndarray:
     """Load a vector, picking the format from the file extension."""
     path = Path(path)
     suffix = path.suffix.lower()
-    if suffix == ".json":
-        return _read_vector_json(path)
-    if suffix == ".csv":
-        return _read_vector_csv(path)
-    if suffix == ".pgm":
-        return _read_vector_pgm(path)
-    raise FormatError(
-        f"unsupported vector format {suffix!r} for {path}; use .json, .csv, or .pgm")
+    reader = {".json": _read_vector_json, ".csv": _read_vector_csv,
+              ".pgm": _read_vector_pgm}.get(suffix)
+    if reader is None:
+        raise FormatError(f"unsupported vector format {suffix!r} for {path}; "
+                          "use .json, .csv, or .pgm")
+    values = reader(path)  # its own FormatError passes unwrapped
+    try:
+        return as_vector(values)
+    except (ValueError, OverflowError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def write_vector(path, vec) -> None:
@@ -77,7 +79,7 @@ def read_text(path) -> str:
         raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def _read_vector_json(path: Path) -> np.ndarray:
+def _read_vector_json(path: Path) -> list:
     try:
         payload = json.loads(read_text(path))
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -93,13 +95,10 @@ def _read_vector_json(path: Path) -> np.ndarray:
             f'{path}: "nv" is {payload["nv"]} but "data" has {len(data)} entries')
     if not set(map(type, data)) <= {int, float}:
         raise FormatError(f'{path}: "data" entries must be JSON numbers')
-    try:
-        return as_vector(data)
-    except (ValueError, OverflowError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return data
 
 
-def _read_vector_csv(path: Path) -> np.ndarray:
+def _read_vector_csv(path: Path) -> list[float]:
     values = []
     for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
@@ -111,10 +110,7 @@ def _read_vector_csv(path: Path) -> np.ndarray:
             raise FormatError(f"{path}:{lineno}: not a number: {line!r}") from exc
     if not values:
         raise FormatError(f"{path}: no values found")
-    try:
-        return as_vector(values)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return values
 
 
 def _read_vector_pgm(path: Path) -> np.ndarray:
@@ -160,7 +156,7 @@ def _read_vector_pgm(path: Path) -> np.ndarray:
         arr = np.frombuffer(raster, dtype=dtype).astype(np.float64)
     if np.any(arr < 0) or np.any(arr > maxval):
         raise FormatError(f"{path}: PGM sample out of range")
-    return as_vector(arr)
+    return arr
 
 
 # ---------- messages ----------

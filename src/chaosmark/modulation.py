@@ -28,6 +28,8 @@ from .phase_space import (
     Strategy,
     as_vector,
     check_strategy_bounds,
+    _frozen,
+    _owned,
     iterate_g,
 )
 
@@ -96,20 +98,18 @@ class SchemeConfig:
 
 @dataclass(frozen=True, eq=False)
 class CarrierSet:
-    """nc carrier vectors of dimension nv, one per message bit."""
+    """nc carrier vectors of dimension nv, one per message bit: ``matrix``
+    keeps a view of read-only memory and copies any other, so none is writable."""
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=np.float64)
+        mat = np.asarray(self.matrix, dtype=np.float64)
         if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
             raise CarrierError(f"expected a (nc, nv) matrix, got shape {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise CarrierError("carrier components must be finite")
-        mat.setflags(write=False)
-        # A view of a read-only base cannot be made writable again, so a
-        # set shared through the carrier cache stays intact.
-        object.__setattr__(self, "matrix", mat.view())
+        object.__setattr__(self, "matrix", _owned(self.matrix, mat))
 
     @property
     def nc(self) -> int:
@@ -121,17 +121,17 @@ class CarrierSet:
 
 
 def as_message(bits, nc: int | None = None) -> np.ndarray:
-    """Validate a bit sequence and return it as a read-only uint8 array."""
-    arr = np.array(list(bits), dtype=np.int64)
+    """Validate bits, each 0 or 1 by value, as a read-only uint8 array."""
+    items = list(bits)
+    arr = np.array(items, dtype=np.int64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("message must be a non-empty bit sequence")
-    if not np.all((arr == 0) | (arr == 1)):
+    values = np.array(items, dtype=np.float64)
+    if not np.all((values == 0) | (values == 1)):
         raise ValueError("message bits must be 0 or 1")
     if nc is not None and arr.size != nc:
         raise ValueError(f"message length {arr.size} does not match nc {nc}")
-    out = arr.astype(np.uint8)
-    out.setflags(write=False)
-    return out
+    return _frozen(arr.astype(np.uint8))
 
 
 def generate_carriers(cfg: SchemeConfig) -> CarrierSet:
@@ -158,13 +158,15 @@ def generate_carriers(cfg: SchemeConfig) -> CarrierSet:
 def _carriers(key: int, nv: int, nc: int, orthonormalize: bool) -> CarrierSet:
     rng = np.random.Generator(np.random.Philox(key=key))
     mat = rng.standard_normal((nc, nv))
-    if orthonormalize:
-        q, r = np.linalg.qr(mat.T)
-        diag = np.diag(r)
-        if np.any(np.abs(diag) < 1e-12):
-            raise CarrierError("drawn carriers are not linearly independent")
-        mat = (q * np.sign(diag)).T
-    return CarrierSet(mat)
+    if not orthonormalize:
+        return CarrierSet(_frozen(mat))
+    q, r = np.linalg.qr(mat.T)
+    del mat  # the product below can take the draw's memory
+    diag = np.diag(r)
+    if np.any(np.abs(diag) < 1e-12):
+        raise CarrierError("drawn carriers are not linearly independent")
+    # the transpose keeps the QR product's layout, by which projections round
+    return CarrierSet(_frozen(q * np.sign(diag)).T)
 
 
 # ---------- strategy builder ----------
@@ -233,8 +235,7 @@ def embed(x, m, c: CarrierSet, cfg: SchemeConfig, scheme: str) -> np.ndarray:
         raise DimensionMismatch(
             f"carriers are ({c.nc}, {c.nv}) but config expects ({cfg.nc}, {cfg.nv})")
     strategy = watermark_strategy(scheme, host, m, c, cfg)
-    start = PhasePoint(strategy, host)
-    return iterate_g(start, cfg.nc).media
+    return iterate_g(PhasePoint(strategy, host), cfg.nc).media
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,8 +262,7 @@ def decode(y, c: CarrierSet, scheme: str) -> DecodeResult:
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    received = as_vector(y, c.nv)
-    proj = c.matrix @ received
+    proj = c.matrix @ as_vector(y, c.nv)
     bits = proj > 0.0 if scheme == "nw" else proj < 0.0
     ties = tuple(int(i) for i in np.nonzero(proj == 0.0)[0])
     return DecodeResult(bits=bits.astype(np.uint8), ties=ties)

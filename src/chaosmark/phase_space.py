@@ -52,13 +52,31 @@ class BoundViolation(ValueError):
     """A strategy term leaves the configured [-N, N] component range."""
 
 
-def as_vector(values, dim: int | None = None) -> np.ndarray:
-    """Copy ``values`` into a read-only 1-D float64 array.
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr made read-only in place, as a view numpy keeps read-only."""
+    arr.setflags(write=False)
+    return arr.view()
 
-    Rejects empty vectors, non-finite components, and (when ``dim`` is
-    given) length mismatches.
+
+def _owned(values, arr: np.ndarray) -> np.ndarray:
+    """arr, checked from values, as an array nothing can write: taken as
+    it is if a view over memory read-only all the way down, frozen if
+    np.asarray made it fresh, else copied in C order (a read-only owner
+    too: whoever holds it can make it writable again)."""
+    if arr is not values and arr.base is None:
+        return _frozen(arr)
+    base = arr
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    return arr if base is None and arr.base is not None else _frozen(arr.copy())
+
+
+def as_vector(values, dim: int | None = None) -> np.ndarray:
+    """``values`` as a read-only 1-D float64 array: a view of read-only
+    memory as it is, any other array copied.  Rejects empty vectors,
+    non-finite components, and (when ``dim`` is given) length mismatches.
     """
-    arr = np.array(values, dtype=np.float64)
+    arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise DimensionMismatch(
             f"expected a non-empty 1-D vector, got shape {arr.shape}")
@@ -66,8 +84,7 @@ def as_vector(values, dim: int | None = None) -> np.ndarray:
         raise ValueError("vector components must be finite")
     if dim is not None and arr.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {arr.size}")
-    arr.setflags(write=False)
-    return arr
+    return _owned(values, arr)
 
 
 @dataclass(frozen=True)
@@ -92,30 +109,18 @@ class SpaceConfig:
         object.__setattr__(self, "bound_n", float(self.bound_n))
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """arr, made read-only in place."""
-    arr.setflags(write=False)
-    return arr
-
-
 def _block(values, dim: int) -> np.ndarray:
-    """Read-only float64 (k, dim) block of finite terms, k >= 0; one
-    over memory nothing can write is taken as it is, the rest copied."""
+    """Read-only float64 (k, dim) block of finite terms, owned as _owned says."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape == (0,):
-        arr = arr.reshape(0, dim)
+        arr = np.empty((0, dim))
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise DimensionMismatch(
             f"expected a (k, {dim}) block of terms, got shape {arr.shape}")
     # count_nonzero skips the Python wrapper around .all()
     if np.count_nonzero(np.isfinite(arr)) < arr.size:
         raise ValueError("vector components must be finite")
-    base = arr
-    while isinstance(base, np.ndarray) and not base.flags.writeable:
-        base = base.base
-    if base is None:  # nothing under arr can be written
-        return arr
-    return _frozen(arr.copy() if arr is values or arr.base is not None else arr)
+    return _owned(values, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +130,8 @@ class Strategy:
     ``prefix`` holds the leading terms, one per row of a read-only
     float64 (k, dim) block; ``tail`` is the repeating block that follows,
     and an empty (0, dim) tail means zeros from there on.  The
-    constructor, the only way to build one, takes vectors or arrays and
-    copies writable input; ``shift`` and ``with_term`` share slices.
+    constructor, the only way to build one, copies any array but a view
+    of read-only memory; ``shift`` and ``with_term`` share slices.
     """
 
     dim: int

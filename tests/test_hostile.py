@@ -1,12 +1,14 @@
 """Hostile inputs on the CLI's file, text and orbit paths.
 
 Each case runs ``cli.main`` in process on generated message text and
-message files, machine files and tapes, or on the options of the
-``analyze`` orbit commands (scan, trace, expansivity and continuity),
-and must exit with a documented code (0-3), print no traceback, and
-finish inside WALL_S seconds.  ``derandomize=True`` makes every run
-draw the same examples, so CI is deterministic; EXAMPLES cases run per
-test.
+message files, embed hosts and decode inputs read from generated JSON,
+CSV and PGM vector files, machine files and tapes, or on the options of
+the ``analyze`` orbit commands (scan, trace, expansivity and
+continuity), and must exit with a documented code (0-3), print no
+traceback, and finish inside WALL_S seconds.  A vector file that is
+well formed but holds a non-finite value must exit 3 with one
+``error:`` line.  ``derandomize=True`` makes every run draw the same
+examples, so CI is deterministic; EXAMPLES cases run per test.
 """
 
 import contextlib
@@ -74,6 +76,88 @@ TAPE_BYTES = st.one_of(TAPE.map(lambda t: (t or "").encode()),
                        st.binary(max_size=20))
 
 HOST = '{"nv": 8, "data": [0.5, -1.0, 2.0, 0.25, -0.75, 1.5, -2.0, 1.0]}\n'
+
+# Vector files as (suffix, bytes, non_finite): non_finite marks a file
+# that is well formed apart from a value float64 cannot hold finitely.
+# JSON reads NaN and Infinity, takes 1e400 as inf and 10**400 as an int
+# past float64; its entries also mix in booleans, null, strings and
+# nested lists, and "nv" may be wrong.  CSV lines mix numbers, nan, inf,
+# text and blank lines.  PGM files may be truncated anywhere or hold
+# samples past maxval.  The sizes stay small, so every host fits a
+# one-bit message with orthonormal carriers.
+FINITE = ["0", "-1", "2.5", "1e-300", "-0.0", "1e308"]
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400]
+NOT_NUMBERS = ["true", "false", "null", '"1"', "[1.0]", "[]", "{}"]
+
+
+def _json_file(entries, nv):
+    count = str(len(entries)) if nv is None else nv
+    text = '{"nv": %s, "data": [%s]}\n' % (count, ", ".join(entries))
+    non_finite = (nv is None and set(entries) <= {*FINITE, *NON_FINITE}
+                  and bool(set(entries) & set(NON_FINITE)))
+    return ".json", text.encode(), non_finite
+
+
+def _entries(*pools):
+    """Lists of 1-8 entries from each pool in turn, so valid, non-finite
+    and malformed files are each drawn often."""
+    return st.one_of([st.lists(st.sampled_from(pool), min_size=1, max_size=8)
+                      for pool in pools])
+
+
+JSON_FILES = st.builds(
+    _json_file,
+    st.one_of(_entries(FINITE, FINITE + NON_FINITE,
+                       FINITE + NON_FINITE + NOT_NUMBERS), st.just([])),
+    st.one_of(st.none(), st.sampled_from(["0", "9", "-1", '"2"', "true",
+                                          "2.0"])))
+CSV_NUMBERS = ["0", "-1", "2.5", "1e-300", " -0.0 "]
+CSV_NON_FINITE = ["nan", "inf", "-inf", "NaN", "1e400", "-Infinity"]
+CSV_BLANK = ["", "  ", "\t"]
+
+
+def _csv_file(lines):
+    non_finite = (set(lines) <= {*CSV_NUMBERS, *CSV_NON_FINITE, *CSV_BLANK}
+                  and bool(set(lines) & set(CSV_NON_FINITE)))
+    return ".csv", "\n".join(lines).encode(), non_finite
+
+
+CSV_FILES = st.builds(_csv_file, st.one_of(_entries(
+    CSV_NUMBERS + CSV_BLANK, CSV_NUMBERS + CSV_NON_FINITE + CSV_BLANK,
+    CSV_NUMBERS + CSV_NON_FINITE + CSV_BLANK + ["x", "1,2", "0x10", "--"]),
+    st.just([])))
+
+
+def _pgm_file(magic, shape, maxval, values, damage):
+    """A PGM file of the given header whose samples cycle through values
+    (at most 16 are written), then damaged: the last sample raised past
+    maxval where its width allows, or the file cut after `damage` bytes."""
+    width, height = shape
+    wide = maxval > 255
+    samples = [v % (maxval + 1) for v in values * 16][:min(width * height, 16)]
+    if damage == "over" and samples and maxval + 1 < (65536 if wide else 256):
+        samples[-1] = maxval + 1
+    if magic == b"P5":
+        body = b"".join(v.to_bytes(2 if wide else 1, "big") for v in samples)
+    else:
+        body = " ".join(map(str, samples)).encode()
+    blob = b"%s\n%d %d\n%d\n" % (magic, width, height, maxval) + body
+    return ".pgm", blob[:damage] if isinstance(damage, int) else blob, False
+
+
+PGM_FILES = st.builds(
+    _pgm_file,
+    st.sampled_from([b"P2", b"P5", b"P2", b"P5", b"P6"]),
+    st.sampled_from([(1, 1), (2, 2), (3, 1), (4, 2), (0, 1),
+                     (10**9, 10**9)]),
+    st.sampled_from([1, 200, 255, 40000, 65535, 0, 65536]),
+    st.lists(st.integers(0, 70000), min_size=1, max_size=4),
+    st.one_of(st.none(), st.just("over"), st.integers(0, 30)))
+VECTOR_FILES = st.one_of(
+    JSON_FILES, CSV_FILES, PGM_FILES,
+    st.tuples(st.sampled_from([".json", ".csv", ".pgm", ".txt"]),
+              st.binary(max_size=40), st.just(False)))
+SCHEMES = st.sampled_from(["ss", "iss", "nw"])
 
 # Options of the analyze orbit commands: plain and extreme values, and
 # in most cases one option set to a bad one.  The orbit budget is cut to
@@ -151,6 +235,43 @@ def test_embed_survives_hostile_messages(work, text, data, nc, source):
     code, err = run_cli(argv)
     if source in ("both", "neither"):
         assert code == 2 and err.count("\n") == 1
+
+
+def _write_vector_file(work, name, vector_file) -> tuple[str, bool]:
+    suffix, data, non_finite = vector_file
+    path = work / (name + suffix)
+    path.write_bytes(data)
+    return str(path), non_finite
+
+
+def _check_non_finite(non_finite, code, err):
+    if non_finite:
+        assert code == 3 and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@CASES
+@given(host=VECTOR_FILES, scheme=SCHEMES,
+       message=st.sampled_from(["1", "0b0", "1", "0x1", ""]))
+def test_embed_survives_hostile_host_files(work, host, scheme, message):
+    path, non_finite = _write_vector_file(work, "host", host)
+    code, err = run_cli(["embed", "--scheme", scheme, "--host", path,
+                         f"--message={message}",
+                         "--out", str(work / "stego.json")])
+    _check_non_finite(non_finite, code, err)
+
+
+@CASES
+@given(stego=VECTOR_FILES, scheme=SCHEMES,
+       nc=st.sampled_from([None, "1", "2", "8", "9", "0", "-1",
+                           "99999999999999999999999"]),
+       key=st.sampled_from(["0", "7", "-1", "18446744073709551616"]))
+def test_decode_survives_hostile_vector_files(work, stego, scheme, nc, key):
+    path, non_finite = _write_vector_file(work, "received", stego)
+    argv = ["decode", "--scheme", scheme, "--stego", path, f"--key={key}"]
+    if nc is not None:
+        argv.append(f"--nc={nc}")
+    code, err = run_cli(argv)
+    _check_non_finite(non_finite, code, err)
 
 
 @CASES

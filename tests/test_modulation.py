@@ -13,6 +13,7 @@ from chaosmark import (
     BoundViolation,
     CarrierError,
     CarrierSet,
+    DecodeResult,
     DimensionMismatch,
     SchemeConfig,
     ZeroProjectionError,
@@ -216,6 +217,23 @@ class TestMessages:
             as_message([])
         with pytest.raises(ValueError):
             as_message([0, 1], nc=3)
+
+    @pytest.mark.parametrize("bits", [
+        [0, 1, 1], [False, True, True], "011", ["0", "1", "1"],
+        np.array([0, 1, 1], np.uint8), [0.0, 1.0, 1.0]])
+    def test_accepts_bits_of_every_kind(self, bits):
+        assert as_message(bits).tolist() == [0, 1, 1]
+
+    def test_rejects_fractional_bits(self):
+        # an int64 cast alone reads these as 0, 1, 1 / 0, 0 / 0, 1
+        for bits in ([0.5, 1.9, 1], [0.9, 0.2], [0.4, 1.2], np.array([0.5])):
+            with pytest.raises(ValueError, match="^message bits must be 0 or 1$"):
+                as_message(bits)
+        with pytest.raises(ValueError, match="^message bits must be 0 or 1$"):
+            DecodeResult(bits=[0.4, 1.2], ties=())
+        conf = cfg(nv=4, nc=2, key=3)
+        with pytest.raises(ValueError, match="^message bits must be 0 or 1$"):
+            embed(np.ones(4), [0.9, 0.2], generate_carriers(conf), conf, "iss")
 
 
 class TestSpreadSpectrum:

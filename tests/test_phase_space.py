@@ -300,11 +300,21 @@ class TestBlocks:
             with pytest.raises(ValueError):
                 block[0, 0] = 0.0
 
-    def test_read_only_block_is_taken_as_it_is(self):
-        block = np.arange(6.0).reshape(3, 2).copy()
+    def test_a_strategys_own_block_is_taken_as_it_is(self):
+        s = Strategy(2, np.arange(6.0).reshape(3, 2))
+        t = Strategy(2, s.prefix, s.prefix[1:])
+        assert t.prefix is s.prefix
+        assert np.shares_memory(t.tail, s.prefix)
+
+    def test_a_callers_read_only_owner_is_copied(self):
+        block = np.arange(6.0).reshape(3, 2)
         block.setflags(write=False)
-        s = Strategy(2, block, block[1:])
-        assert s.prefix is block and np.shares_memory(s.tail, block)
+        s = Strategy(2, block, block)
+        block.setflags(write=True)
+        block[:] = math.nan
+        assert s.prefix.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+        assert s.tail.tolist() == s.prefix.tolist()
+        assert not np.shares_memory(s.prefix, block)
 
     def test_read_only_view_of_writable_memory_is_copied(self):
         base = np.arange(6.0).reshape(3, 2)
