@@ -41,6 +41,11 @@ MAX_TAPE_CELLS = 10**6
 # 10^7 bits: 4.7 ms and 11 MB).  No wider message can be embedded: its
 # carriers alone hold nv * nc >= nc^2 doubles.
 MAX_MESSAGE_BITS = 10**6
+# Most components (nc times nv) one carrier draw may hold: twice the
+# largest embed's 4096 x 1024.  On a shared 2-core x86 VM, one BLAS
+# thread: a draw of 2^23 took 0.2 s and peaked at 97 MiB RSS; the square
+# case's QR (2896 x 2896) 1.8 s and 356 MiB, and 4096 x 1024's 0.8 s.
+MAX_CARRIER_COMPONENTS = 2**23
 
 
 def charge(name: str, amount, what: str) -> None:

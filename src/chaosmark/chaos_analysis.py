@@ -41,6 +41,7 @@ from .phase_space import (
     Strategy,
     _frozen,
     _orbit_distances,
+    _owned,
     _rows,
     d_phase,
     iterate_g,
@@ -100,8 +101,8 @@ class WitnessReport:
 class OrbitTrace:
     """Per-step distance records between two orbits.
 
-    points is a float64 array with one (step, d_phase, d_inf_media) row
-    per step.  meta carries the generating parameters (and, for the
+    points is a read-only float64 array, owned as phase_space._owned
+    says, with one (step, d_phase, d_inf_media) row per step.  meta carries the generating parameters (and, for the
     continuity witness, the parallel list of input distances).
     """
 
@@ -109,6 +110,10 @@ class OrbitTrace:
     meta: dict = field(default_factory=dict)
 
     columns = ("step", "d_phase", "d_inf_media")
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "points", _owned(
+            self.points, np.asarray(self.points, dtype=np.float64)))
 
     def to_dict(self) -> dict:
         steps = self.points[:, 0].astype(int).tolist()
@@ -477,7 +482,7 @@ def witness_continuity(x: PhasePoint, scales, space: SpaceConfig,
     if not perturbed:
         raise ValueError("no usable scales: every perturbation left the bound")
     input_d, image_d = walk.tolist()
-    rows = np.column_stack([np.arange(len(used)), walk[1], media[1]])
+    rows = _frozen(np.column_stack([np.arange(len(used)), walk[1], media[1]]))
     ratio_ok = all(img <= 2.0 * inp + tolerance
                    for img, inp in zip(image_d, input_d))
     nonincreasing = all(b <= a + tolerance
@@ -520,7 +525,7 @@ def divergence_trace(x: PhasePoint, y: PhasePoint, n_max: int,
     _require_orbit_budget(1, n_max, x.dim, 0)
     walk, media = _orbit_distances(x, [y], n_max, space)
     return OrbitTrace(
-        points=np.column_stack([np.arange(n_max + 1), walk, media]),
+        points=_frozen(np.column_stack([np.arange(n_max + 1), walk, media])),
         meta={"kind": "divergence", "n_max": n_max, "nv": x.dim,
               "bound_n": space.bound_n},
     )

@@ -19,6 +19,7 @@ environment variable, then 0; a negative seed is a usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -33,6 +34,7 @@ from .chaos_analysis import (
     _require_orbit_budget,
     _require_tolerance,
     _require_trials,
+    _sensitivity_point,
     ball_index,
     divergence_trace,
     empirical_sensitivity_scan,
@@ -80,52 +82,46 @@ def _seed_of(args) -> int:
 
 # ---------- embed / decode ----------
 
+# nv and nc come from the input, every later field from its option's dest
+_SCHEME_FIELDS = tuple(f.name for f in dataclasses.fields(SchemeConfig))
+_REPORTED = {"lam": "lambda", "key": "key_fingerprint"}
+
+
 def _scheme_config(args, nv: int, nc: int) -> SchemeConfig:
-    return SchemeConfig(
-        nv=nv,
-        nc=nc,
-        gamma=args.gamma,
-        alpha=args.alpha,
-        lam=args.lam,
-        eta=args.eta,
-        key=args.key,
-        orthonormalize=args.orthonormalize,
-        bound_n=args.bound_n,
-    )
+    return SchemeConfig(nv=nv, nc=nc, **{name: getattr(args, name)
+                                         for name in _SCHEME_FIELDS[2:]})
 
 
 def _scheme_config_dict(cfg: SchemeConfig, scheme: str) -> dict:
-    return {
-        "scheme": scheme,
-        "nv": cfg.nv,
-        "nc": cfg.nc,
-        "gamma": cfg.gamma,
-        "alpha": cfg.alpha,
-        "lambda": cfg.lam,
-        "eta": cfg.eta,
-        "key_fingerprint": fileio.key_fingerprint(cfg.key),
-        "orthonormalize": cfg.orthonormalize,
-        "bound_n": cfg.bound_n,
-    }
+    config = {_REPORTED.get(name, name): getattr(cfg, name)
+              for name in _SCHEME_FIELDS}
+    config["key_fingerprint"] = fileio.key_fingerprint(cfg.key)
+    return {"scheme": scheme, **config}
 
 
-def _message_text(args) -> str:
-    if args.message is not None and args.message_file is not None:
-        raise ValueError("give either --message or --message-file, not both")
-    if args.message is not None:
-        return args.message
-    if args.message_file is not None:
-        return fileio.read_text(args.message_file)
-    raise ValueError("a message is required: --message or --message-file")
+def _text_or_file(args, name: str) -> str | None:
+    """--<name>, or the stripped text of --<name>-file; None if neither."""
+    text, path = getattr(args, name), getattr(args, f"{name}_file")
+    if text is not None and path is not None:
+        raise ValueError(f"give either --{name} or --{name}-file, not both")
+    return text if path is None else fileio.read_text(path).strip()
+
+
+def _vector(args, name: str):
+    """The vector file given as --<name>, as long as --nv when that is given."""
+    vec = fileio.read_vector(getattr(args, name))
+    if args.nv is not None and vec.size != args.nv:
+        raise ValueError(f"{name} has {vec.size} components but --nv is {args.nv}")
+    return vec
 
 
 def _cmd_embed(args) -> int:
-    host = fileio.read_vector(args.host)
-    nv = args.nv if args.nv is not None else int(host.size)
-    if host.size != nv:
-        raise ValueError(f"host has {host.size} components but --nv is {nv}")
-    bits = fileio.parse_message_text(_message_text(args), args.nc)
-    cfg = _scheme_config(args, nv, bits.size)
+    host = _vector(args, "host")
+    text = _text_or_file(args, "message")
+    if text is None:
+        raise ValueError("a message is required: --message or --message-file")
+    bits = fileio.parse_message_text(text, args.nc)
+    cfg = _scheme_config(args, host.size, bits.size)
     carriers = generate_carriers(cfg)
     stego = embed(host, bits, carriers, cfg, args.scheme)
     fileio.write_vector(args.out, stego)
@@ -141,13 +137,10 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    stego = fileio.read_vector(args.stego)
-    nv = args.nv if args.nv is not None else int(stego.size)
-    if stego.size != nv:
-        raise ValueError(f"stego has {stego.size} components but --nv is {nv}")
+    stego = _vector(args, "stego")
     if args.nc is None:
         raise ValueError("--nc is required to decode")
-    cfg = _scheme_config(args, nv, args.nc)
+    cfg = _scheme_config(args, stego.size, args.nc)
     carriers = generate_carriers(cfg)
     result = decode(stego, carriers, args.scheme)
     bitstring = fileio.bits_to_string(result.bits)
@@ -227,13 +220,13 @@ def _trace(args, space, seed, points):
     _require_tolerance(args.tolerance)
     _require_orbit_budget(1, args.n_max, space.nv, 0)
     # the report records both values, whichever of them the pair uses
-    ball_index(args.r)
+    k0 = ball_index(args.r)
     _require_eps(args.eps)
     if args.pair == "expansivity":
         x, y = expansivity_pair(args.eps, space)
     elif args.pair == "sensitivity":
         x = next(points)
-        y = witness_sensitivity(x, args.r, space).constructed_point
+        y = _sensitivity_point(x, k0, space)
     else:
         x, y = next(points), next(points)
     trace = divergence_trace(x, y, args.n_max, space)
@@ -257,12 +250,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_tm(args) -> int:
     machine = parse_machine(fileio.read_text(args.machine))
-    if args.tape is not None and args.tape_file is not None:
-        raise ValueError("give either --tape or --tape-file, not both")
-    if args.tape_file is not None:
-        tape = fileio.read_text(args.tape_file).strip()
-    else:
-        tape = args.tape or ""
+    tape = _text_or_file(args, "tape") or ""
     start = initial_configuration(machine, tape, args.head)
     result = tm_run(machine, start, args.max_steps)
     config = {"machine": str(args.machine), "tape": tape, "head": args.head,

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import budget
-from .phase_space import as_vector
+from .phase_space import _frozen, as_vector
 
 SCHEMA = "chaosmark/3"
 # Whitespace and #-comments to the end of their line, then one token.
@@ -188,7 +188,7 @@ def parse_message_text(text: str, nc: int | None) -> np.ndarray:
             raise FormatError(
                 f"hex message {text!r} does not fit in {nc} bits")
         raw = np.frombuffer(value.to_bytes((nc + 7) // 8, "big"), np.uint8)
-        return np.unpackbits(raw)[-nc:]
+        return _frozen(np.unpackbits(raw)[-nc:].copy())
     if text.lower().startswith("0b"):
         text = text[2:]
     if not text or set(text) - {"0", "1"}:
@@ -196,7 +196,7 @@ def parse_message_text(text: str, nc: int | None) -> np.ndarray:
             "message must be a bit string (optionally 0b-prefixed) or 0x-prefixed hex")
     if nc is not None and len(text) != nc:
         raise FormatError(f"message has {len(text)} bits, expected {nc}")
-    return np.frombuffer(text.encode("ascii"), np.uint8) - ord("0")
+    return _frozen(np.frombuffer(text.encode("ascii"), np.uint8) - ord("0"))
 
 
 def bits_to_string(bits) -> str:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import budget
 from .phase_space import (
     DimensionMismatch,
     PhasePoint,
@@ -147,8 +148,11 @@ def generate_carriers(cfg: SchemeConfig) -> CarrierSet:
     for the same (key, nv, nc, orthonormalize), whatever the scheme or
     amplitudes, so an embed and a decode with one key pay for one draw.
     It is derived secret material, held until a call with another key
-    or size replaces it.
+    or size replaces it.  More than MAX_CARRIER_COMPONENTS components
+    (nc times nv) raise BudgetExceeded before the cache is asked.
     """
+    budget.charge("MAX_CARRIER_COMPONENTS", cfg.nc * cfg.nv, f"{cfg.nc} "
+                  f"carriers of {cfg.nv} components hold {cfg.nc * cfg.nv}")
     return _carriers(cfg.key, cfg.nv, cfg.nc, cfg.orthonormalize)
 
 

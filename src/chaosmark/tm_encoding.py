@@ -200,7 +200,7 @@ def tm_run(machine: TuringMachine, config: TmConfiguration,
     doubles on that side), an unwritten cell (written as the blank when
     the blank has a rule, which counts one more cell) or no transition.
     Given cells farther from the head than the window's first layout
-    allows stay in a dict until the window reaches them, so memory does
+    allows stay in a dict until the head lands on them, so memory does
     not depend on the gaps between them.  The window is frozen into one
     configuration at return.
 
@@ -273,19 +273,16 @@ def tm_run(machine: TuringMachine, config: TmConfiguration,
         c = tape[pos]
         if c == edge:  # double the window on this side
             grow = len(tape)
-            a = off - grow + 1 if pos == 0 else off + len(tape) - 1
             ext = [unwritten] * grow
-            pulled = [i for i in range(a, a + grow) if i in far] if far else ()
-            for i in pulled:
-                ext[i - a] = code[far.pop(i)]
-            if pulled:
-                first, last = min(first, pulled[0]), max(last, pulled[-1])
             if pos == 0:
                 tape[1:1] = ext
                 off -= grow
                 pos += grow
             else:
                 tape[-1:-1] = ext
+        elif c == unwritten and off + pos in far:  # a given cell, reached
+            tape[pos] = code[far.pop(off + pos)]
+            first, last = min(first, off + pos), max(last, off + pos)
         elif c == unwritten and row[blank] is not None:
             written += 1
             if written > limit:

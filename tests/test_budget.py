@@ -16,11 +16,13 @@ import chaosmark
 from chaosmark import (
     BudgetExceeded,
     PhasePoint,
+    SchemeConfig,
     SpaceConfig,
     Strategy,
     budget,
     d_strategy,
     divergence_trace,
+    generate_carriers,
     initial_configuration,
     parse_machine,
     tm_encoding,
@@ -59,6 +61,10 @@ def _message():
     parse_message_text("0x1", 2)
 
 
+def _carriers():
+    generate_carriers(SchemeConfig(nv=2, nc=2))
+
+
 @pytest.mark.parametrize("name, call", [
     ("MAX_SERIES_TERMS", _series),
     ("MAX_CORRECTION_TERMS", _splice),
@@ -66,6 +72,7 @@ def _message():
     ("MAX_TM_STEPS", _steps),
     ("MAX_TAPE_CELLS", _tape),
     ("MAX_MESSAGE_BITS", _message),
+    ("MAX_CARRIER_COMPONENTS", _carriers),
 ])
 def test_each_limit_is_read_from_the_budget_module(name, call, monkeypatch):
     call()

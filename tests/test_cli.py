@@ -3,6 +3,7 @@
 import argparse
 import collections
 import csv
+import dataclasses
 import io
 import json
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaosmark import (SchemeConfig, budget, chaos_analysis, cli, fileio,
-                       generate_carriers)
+                       generate_carriers, modulation)
 from chaosmark.cli import EXIT_FALSE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from pgm_oracle import read_vector_pgm
 
@@ -106,6 +107,25 @@ class TestEmbedDecode:
         assert meta["config"]["key_fingerprint"] == fileio.key_fingerprint(9)
         assert "key" not in meta["config"]
         assert meta["distortion_inf"] > 0.0
+
+    def test_config_keys_are_the_scheme_fields(self, tmp_path, host_json):
+        # one list: SchemeConfig's fields, two of them renamed, and the scheme
+        stego, record = tmp_path / "stego.json", tmp_path / "r.json"
+        main(["embed", "--scheme", "iss", "--host", str(host_json),
+              "--message", "1011", "--lambda", "0.5", "--key", "9",
+              "--bound-n", "12", "--out", str(stego)])
+        main(["decode", "--scheme", "iss", "--stego", str(stego), "--nc", "4",
+              "--lambda", "0.5", "--key", "9", "--bound-n", "12",
+              "--out", str(record)])
+        renamed = {"lam": "lambda", "key": "key_fingerprint"}
+        want = {renamed.get(f.name, f.name)
+                for f in dataclasses.fields(SchemeConfig)} | {"scheme"}
+        for path in (tmp_path / "stego.json.meta.json", record):
+            config = json.loads(path.read_text())["config"]
+            assert set(config) == want
+            assert (config["lambda"], config["bound_n"], config["nv"],
+                    config["nc"]) == (0.5, 12.0, 8, 4)
+            assert config["key_fingerprint"] == fileio.key_fingerprint(9)
 
     def test_explicit_meta_path_and_decode_record(self, tmp_path, host_json,
                                                   capsys):
@@ -270,6 +290,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate 7.45 GiB ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["decode", "embed"])
+    def test_carrier_draw_over_budget_is_usage_error(self, tmp_path, capsys,
+                                                     monkeypatch, command):
+        # unorthonormalized carriers are sized by --nc or the message alone
+        def undrawn(*args):
+            raise AssertionError("carriers were drawn")
+
+        monkeypatch.setattr(modulation, "_carriers", undrawn)
+        vector = tmp_path / "v.json"
+        if command == "decode":
+            fileio.write_vector(vector, np.ones(8))
+            argv = ["--stego", str(vector), "--nc", "100000000"]
+            nc, nv = 100000000, 8
+        else:
+            fileio.write_vector(vector, np.ones(4096))
+            argv = ["--host", str(vector), "--message", "1" * 10**6,
+                    "--out", str(tmp_path / "s.json")]
+            nc, nv = 10**6, 4096
+        assert main([command, "--scheme", "ss", "--no-orthonormalize",
+                     *argv]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {nc} carriers of {nv} components hold {nc * nv}, more "
+            f"than MAX_CARRIER_COMPONENTS={budget.MAX_CARRIER_COMPONENTS}\n")
 
     def test_wide_hex_message_is_usage_error(self, tmp_path, capsys,
                                              host_json):
@@ -506,6 +550,17 @@ class TestAnalyze:
         monkeypatch.setenv("CHAOSMARK_SEED", "123")
         main(["analyze", "sensitivity", "--r", "0.1", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+    def test_sensitivity_trace_walks_only_the_trace(self, seed, capsys):
+        # the companion is built, not walked: a 302-step witness walk
+        # that overflows must not fail a trace of step 0 alone
+        assert main(["analyze", "trace", "--pair", "sensitivity",
+                     "--r", "1e-300", "--n-max", "0", "--bound-n", "8e307",
+                     "--nv", "2", "--seed", seed]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert len(json.loads(captured.out)["trace"]["points"]) == 1
 
     def test_expansivity_trace_draws_no_point(self, capsys, monkeypatch):
         def undrawn(*args):

@@ -3,8 +3,9 @@
 Each case runs ``cli.main`` in process on generated message text and
 message files, embed hosts and decode inputs read from generated JSON,
 CSV and PGM vector files, machine files and tapes, or on the options of
-the ``analyze`` orbit commands (scan, trace, expansivity and
-continuity), and must exit with a documented code (0-3), print no
+every ``analyze`` command (the orbit commands scan, trace, expansivity
+and continuity, and the witnesses sensitivity, transitivity and
+regularity), and must exit with a documented code (0-3), print no
 traceback, and finish inside WALL_S seconds.  A vector file that is
 well formed but holds a non-finite value must exit 3 with one
 ``error:`` line.  ``derandomize=True`` makes every run draw the same
@@ -332,3 +333,28 @@ def test_analyze_expansivity_survives_hostile_options(small_orbit_budget,
                             seed=SEEDS, tolerance=TOLERANCES, format=FORMATS))
 def test_analyze_continuity_survives_hostile_options(argv):
     run_cli(["analyze", "continuity", *argv])
+
+
+# The witnesses: radius or eps, tolerance, bound and seed, each plain,
+# extreme or bad.  They have no nv budget yet, so --nv stays small.  No
+# budget needs a cut: the slowest case, a transitivity splice at nv 64
+# and r_a 1e-300, took 0.3 s on a shared 2-core x86 VM.
+@CASES
+@given(argv=hostile_options(r=REALS, nv=SMALL_NVS, bound_n=REALS, seed=SEEDS,
+                            tolerance=TOLERANCES, format=FORMATS))
+def test_analyze_sensitivity_survives_hostile_options(argv):
+    run_cli(["analyze", "sensitivity", "--r=0.1", *argv])
+
+
+@CASES
+@given(argv=hostile_options(r_a=REALS, nv=SMALL_NVS, bound_n=REALS,
+                            seed=SEEDS, tolerance=TOLERANCES, format=FORMATS))
+def test_analyze_transitivity_survives_hostile_options(argv):
+    run_cli(["analyze", "transitivity", "--r-a=0.1", *argv])
+
+
+@CASES
+@given(argv=hostile_options(eps=REALS, nv=SMALL_NVS, bound_n=REALS,
+                            seed=SEEDS, tolerance=TOLERANCES, format=FORMATS))
+def test_analyze_regularity_survives_hostile_options(argv):
+    run_cli(["analyze", "regularity", "--eps=0.1", *argv])

@@ -19,17 +19,21 @@ import chaosmark
 from chaosmark import (
     CarrierSet,
     DecodeResult,
+    OrbitTrace,
     PhasePoint,
     SchemeConfig,
+    SpaceConfig,
     Strategy,
     as_message,
     as_vector,
+    divergence_trace,
     embed,
     fileio,
     generate_carriers,
     iterate_g,
     shift,
     watermark_strategy,
+    witness_continuity,
 )
 
 
@@ -162,6 +166,44 @@ def test_read_vector_is_sealed(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     assert_sealed(fileio.read_vector(path))
+
+
+def _traces():
+    space = SpaceConfig(nv=2)
+    x = PhasePoint(Strategy(2, [[1.0, 2.0]], [[0.5, 0.5]]), [0.0, 1.0])
+    y = PhasePoint(Strategy(2, [[1.0, 2.5]]), [0.0, 1.5])
+    return {
+        "divergence": divergence_trace(x, y, 3, space),
+        "continuity": witness_continuity(x, [0.1, 0.01], space)[1],
+    }
+
+
+@pytest.mark.parametrize("name", ["divergence", "continuity"])
+def test_trace_points_are_sealed(name):
+    trace = _traces()[name]
+    assert_sealed(trace.points)
+    assert OrbitTrace(trace.points).points is trace.points
+
+
+def test_a_callers_trace_points_are_copied():
+    owner = np.zeros((2, 3))
+    for points in (owner, owner[:], owner.tolist()):
+        trace = OrbitTrace(points)
+        assert_sealed(trace.points)
+        assert not np.shares_memory(trace.points, owner)
+    owner.setflags(write=False)
+    trace = OrbitTrace(owner)
+    owner.setflags(write=True)
+    owner[0, 1] = np.nan
+    assert trace.points.tolist() == [[0.0, 0.0, 0.0]] * 2
+
+
+@pytest.mark.parametrize("text, nc", [("0110", 4), ("0b0110", None),
+                                      ("0x6", 4), ("0x6", 12)])
+def test_parsed_messages_are_sealed(text, nc):
+    bits = fileio.parse_message_text(text, nc)
+    assert_sealed(bits)
+    assert bits.tolist()[-3:] == [1, 1, 0]
 
 
 def _flag_setters(tree):
