@@ -53,7 +53,8 @@ SEEDS = (1, 2, 3)
 BAD_VALUES = ("-5", "0", "nan", "inf")
 RADII = ("5e-324", "1e-306", "1e-300", "0.001", "1", "1e308")
 EPSILONS = ("5e-324", "1e-300", "0.001", "0.5", "20")
-# BLAS threads change QR bits, and argparse wraps help at COLUMNS.
+# BLAS threads may change matrix-product bits, and argparse wraps help
+# at COLUMNS.
 CHILD_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
              "MKL_NUM_THREADS": "1", "COLUMNS": "80"}
 

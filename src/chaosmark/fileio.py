@@ -26,7 +26,7 @@ import numpy as np
 from . import budget
 from .phase_space import _frozen, as_vector
 
-SCHEMA = "chaosmark/3"
+SCHEMA = "chaosmark/4"
 # Whitespace and #-comments to the end of their line, then one token.
 # Matched from where the last token ended, so none is found in a comment.
 _PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")

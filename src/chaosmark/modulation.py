@@ -61,7 +61,7 @@ class SchemeConfig:
     lam            iss host-rejection factor in [0, 1]
     eta            nw distortion factor (positive)
     key            64-bit unsigned seed for carrier generation
-    orthonormalize QR-orthonormalize the carriers (requires nc <= nv)
+    orthonormalize draw orthonormal carriers (requires nc <= nv)
     bound_n        strategy component bound N of the ambient phase space
     """
 
@@ -140,9 +140,9 @@ def generate_carriers(cfg: SchemeConfig) -> CarrierSet:
 
     Components come from a counter-based keyed generator, so the same
     (key, nv, nc, orthonormalize) always reproduces the same carriers.
-    With orthonormalize set the rows are the QR basis of the draw, signed
-    so that R has a positive diagonal: the Gram-Schmidt basis of the
-    rows, up to rounding.
+    With orthonormalize set the rows are keyed rows of the orthonormal
+    DCT-II basis (see _carriers), drawn in O(nv * nc); without it they
+    are the raw Gaussian draw.
 
     The last carrier set is kept in process memory and returned again
     for the same (key, nv, nc, orthonormalize), whatever the scheme or
@@ -160,17 +160,60 @@ def generate_carriers(cfg: SchemeConfig) -> CarrierSet:
 # set (32 MiB at 4096 x 1024) stays in memory.
 @functools.lru_cache(maxsize=1)
 def _carriers(key: int, nv: int, nc: int, orthonormalize: bool) -> CarrierSet:
+    """The keyed carrier set, drawn from one Philox(key) stream.
+
+    Without orthonormalize it is the stream's (nc, nv) standard normal
+    draw.  With it, carrier i, component j is
+
+        sign_j * c_k * cos(pi * k_i * (2 * perm_j + 1) / (2 * nv)),
+
+    c_0 = sqrt(1/nv) and c_k = sqrt(2/nv) otherwise: rows k_i of the
+    orthonormal DCT-II basis with the components permuted and signed,
+    which keeps them orthonormal.  The stream draws, in this order:
+
+    1. the rows: a permutation of every k in [1, nv) but nv/2, then 0
+       and, for even nv, nv/2; the first nc are taken.  Rows 0 and nv/2
+       hold one magnitude, so an integer host projects onto them as a
+       multiple of one float, often exactly zero; they come last.
+    2. perm, a permutation of range(nv);
+    3. one integer in {0, 1} per component, 1 flipping its sign.
+
+    The angle index k * (2 * perm_j + 1), plus 2 * nv for a flipped sign,
+    is reduced mod 4 * nv in integers and read from one table of cosines.
+    The matrix is C-ordered.
+    """
     rng = np.random.Generator(np.random.Philox(key=key))
-    mat = rng.standard_normal((nc, nv))
     if not orthonormalize:
-        return CarrierSet(_frozen(mat))
-    q, r = np.linalg.qr(mat.T)
-    del mat  # the product below can take the draw's memory
-    diag = np.diag(r)
-    if np.any(np.abs(diag) < 1e-12):
-        raise CarrierError("drawn carriers are not linearly independent")
-    # the transpose keeps the QR product's layout, by which projections round
-    return CarrierSet(_frozen(q * np.sign(diag)).T)
+        return CarrierSet(_frozen(rng.standard_normal((nc, nv))))
+    flat = [0] if nv % 2 else [0, nv // 2]
+    others = np.arange(1, nv)
+    rows = np.concatenate((rng.permutation(others[others != flat[-1]]), flat))[:nc]
+    perm = rng.permutation(nv)
+    flip = rng.integers(0, 2, nv)
+    perm *= 2
+    perm += 1
+    flip *= 2 * nv
+    # below 2 * nv**2 + 2 * nv, so int64 cannot wrap while nv < 2**31
+    index = np.multiply.outer(rows, perm)
+    index += flip
+    index %= 4 * nv
+    del perm, flip  # the table below can take their memory
+    mat = _cosines(nv)[index]
+    mat *= np.where(rows == 0, math.sqrt(1.0 / nv), math.sqrt(2.0 / nv))[:, None]
+    return CarrierSet(_frozen(mat))
+
+
+def _cosines(nv: int) -> np.ndarray:
+    """cos(pi * t / (2 * nv)) for t in [0, 4 * nv): a quarter wave (cos
+    below pi/4, sin above), mirrored and negated, so t and t + 2 * nv
+    hold exactly opposite values and a half turn is an exact sign flip."""
+    table = np.empty(4 * nv)
+    low = nv // 2 + 1
+    table[:low] = np.cos(np.pi * np.arange(low) / (2 * nv))
+    table[low:nv + 1] = np.sin(np.pi * np.arange(nv - low, -1, -1) / (2 * nv))
+    np.negative(table[nv - 1::-1], out=table[nv + 1:2 * nv + 1])
+    np.negative(table[:2 * nv], out=table[2 * nv:])
+    return table
 
 
 # ---------- strategy builder ----------

@@ -103,7 +103,7 @@ class TestEmbedDecode:
               "--message", "1011", "--gamma", "6.0", "--key", "9",
               "--out", str(stego)])
         meta = json.loads((tmp_path / "stego.json.meta.json").read_text())
-        assert meta["schema"] == "chaosmark/3"
+        assert meta["schema"] == "chaosmark/4"
         assert meta["config"]["key_fingerprint"] == fileio.key_fingerprint(9)
         assert "key" not in meta["config"]
         assert meta["distortion_inf"] > 0.0
@@ -177,8 +177,10 @@ class TestEmbedDecode:
         pgm = tmp_path / "host.pgm"
         pgm.write_bytes(b"P2\n# tiny\n2 2\n255\n0 64\n128 255\n")
         stego = tmp_path / "s.json"
+        # an nw term is up to 2 * eta * |host| (here 585), whatever the key
         code = main(["embed", "--scheme", "nw", "--host", str(pgm),
-                     "--message", "10", "--out", str(stego)])
+                     "--message", "10", "--out", str(stego),
+                     "--bound-n", "1000"])
         assert code == EXIT_OK
         capsys.readouterr()
         code = main(["decode", "--scheme", "nw", "--stego", str(stego),
@@ -195,6 +197,56 @@ class TestEmbedDecode:
         out = capsys.readouterr()
         assert out.out.strip() == "00"
         assert "zero projection" in out.err
+
+
+class TestIntegerHosts:
+    """P5 hosts of pixels 0-3 at nc 48, under the benchmark's parameters.
+
+    Rows 0 and nv/2 of the carrier family hold one magnitude, so an
+    integer host projects onto them as an exact multiple of one float,
+    often zero: nw would refuse the host (exit 2) or a bit would decode
+    wrong.  No key draws those rows while nc <= nv - 2.
+    """
+
+    PARAMS = {"ss": ["--gamma", "20"], "iss": ["--alpha", "1", "--lambda", "1"],
+              "nw": ["--eta", "1"]}
+    AMPLITUDES = {"ss": dict(gamma=20.0), "iss": dict(alpha=1.0, lam=1.0),
+                  "nw": dict(eta=1.0)}
+
+    @staticmethod
+    def p5_host(path, rng):
+        pixels = rng.integers(0, 4, 1024).astype(np.uint8)
+        path.write_bytes(b"P5\n32 32\n3\n" + pixels.tobytes())
+        return path
+
+    def test_every_key_round_trips(self, tmp_path):
+        # the library calls behind embed and decode, over 2000 keys; any
+        # exception here is an exit 2 of the CLI
+        rng = np.random.default_rng(48)
+        for key in range(2000):
+            host = fileio.read_vector(self.p5_host(tmp_path / "h.pgm", rng))
+            m = rng.integers(0, 2, 48)
+            for scheme, amplitudes in self.AMPLITUDES.items():
+                conf = SchemeConfig(nv=1024, nc=48, key=key, **amplitudes)
+                c = generate_carriers(conf)
+                got = modulation.decode(modulation.embed(host, m, c, conf, scheme),
+                                        c, scheme)
+                assert np.array_equal(got.bits, m) and got.ties == (), (scheme, key)
+
+    def test_every_command_exits_zero(self, tmp_path, capsys):
+        rng = np.random.default_rng(49)
+        for key in range(20):
+            host = self.p5_host(tmp_path / f"h{key}.pgm", rng)
+            message = "".join(map(str, rng.integers(0, 2, 48)))
+            for scheme, params in self.PARAMS.items():
+                common = ["--scheme", scheme, "--key", str(key), *params]
+                stego = tmp_path / "s.json"
+                assert main(["embed", *common, "--host", str(host),
+                             "--message", message, "--out", str(stego)]) == EXIT_OK
+                capsys.readouterr()
+                assert main(["decode", *common, "--stego", str(stego),
+                             "--nc", "48"]) == EXIT_OK
+                assert capsys.readouterr().out == message + "\n", (scheme, key)
 
 
 class TestExitCodes:
@@ -608,7 +660,7 @@ class TestAnalyze:
                      "--format", "csv"])
         assert code == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "# chaosmark/3"
+        assert lines[0] == "# chaosmark/4"
         assert "step,d_phase,d_inf_media" in lines
         assert len([ln for ln in lines if not ln.startswith("#")]) == 6
 

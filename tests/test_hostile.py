@@ -5,7 +5,8 @@ message files, embed hosts and decode inputs read from generated JSON,
 CSV and PGM vector files, machine files and tapes, or on the options of
 every ``analyze`` command (the orbit commands scan, trace, expansivity
 and continuity, and the witnesses sensitivity, transitivity and
-regularity), and must exit with a documented code (0-3), print no
+regularity) and the seeds they read from ``--seed`` or
+``CHAOSMARK_SEED``, and must exit with a documented code (0-3), print no
 traceback, and finish inside WALL_S seconds.  A vector file that is
 well formed but holds a non-finite value must exit 3 with one
 ``error:`` line.  ``derandomize=True`` makes every run draw the same
@@ -358,3 +359,44 @@ def test_analyze_transitivity_survives_hostile_options(argv):
                             seed=SEEDS, tolerance=TOLERANCES, format=FORMATS))
 def test_analyze_regularity_survives_hostile_options(argv):
     run_cli(["analyze", "regularity", "--eps=0.1", *argv])
+
+
+# Seeds on every analyze subcommand, from --seed or from CHAOSMARK_SEED:
+# negative ones, 10^23 and its neighbours, and for the variable also
+# blanks, signs and text int() refuses.  A negative or unreadable seed
+# exits 2 with one stderr line, even for expansivity, which draws no
+# point; any other seed runs to a verdict.
+SEED_VALUES = ["0", "-1", "-100000000000000000000000", "99999999999999999999999",
+               "100000000000000000000000", "100000000000000000000001"]
+ENV_SEEDS = [*SEED_VALUES, "", "  ", " 7 ", "+3", "x", "1.5", "1e23", "0x10",
+             "-0"]
+SEEDED = {"sensitivity": ["--r=0.1"], "transitivity": ["--r-a=0.1"],
+          "regularity": ["--eps=0.1"], "expansivity": ["--eps=0.5"],
+          "continuity": [], "scan": ["--r=0.01", "--trials=20"], "trace": []}
+
+
+def _check_seed(seed, code, err):
+    text = seed.strip()
+    try:
+        refused = bool(text) and int(text) < 0
+    except ValueError:
+        refused = True
+    if refused:
+        assert code == 2 and err.count("\n") == 1, (seed, err)
+    else:
+        assert code in (0, 1), (seed, code, err)
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED))
+@pytest.mark.parametrize("seed", SEED_VALUES)
+def test_analyze_survives_hostile_seed_options(command, seed):
+    code, err = run_cli(["analyze", command, *SEEDED[command], f"--seed={seed}"])
+    _check_seed(seed, code, err)
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED))
+@pytest.mark.parametrize("seed", ENV_SEEDS)
+def test_analyze_survives_hostile_seed_variables(command, seed, monkeypatch):
+    monkeypatch.setenv("CHAOSMARK_SEED", seed)
+    code, err = run_cli(["analyze", command, *SEEDED[command]])
+    _check_seed(seed, code, err)

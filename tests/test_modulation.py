@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shift_oracle
-from carrier_oracle import gram_schmidt_carriers
+from carrier_oracle import dct_row_carriers
 from chaosmark import (
     BoundViolation,
     CarrierError,
@@ -30,7 +30,7 @@ from chaosmark import (
 EYE2 = CarrierSet(np.eye(2))
 
 # Keys and (nv, nc) sizes at which the carriers are checked against the
-# Gram-Schmidt oracle and for orthonormality.
+# float-cos oracle and for orthonormality.
 ORACLE_KEYS = (0, 1, 2**64 - 1)
 ORACLE_SIZES = [(1, 1), (8, 8), (64, 16), (257, 48), (1024, 128)]
 
@@ -74,33 +74,39 @@ class TestCarriers:
             for nv, nc in ORACLE_SIZES:
                 c = generate_carriers(cfg(nv=nv, nc=nc, key=key))
                 gram = c.matrix @ c.matrix.T
-                assert np.max(np.abs(gram - np.eye(nc))) < 1e-9, (key, nv, nc)
+                assert np.max(np.abs(gram - np.eye(nc))) <= 4e-15, (key, nv, nc)
 
     @pytest.mark.parametrize("key", ORACLE_KEYS)
     @pytest.mark.parametrize("nv,nc", ORACLE_SIZES)
     def test_matches_gram_schmidt_oracle(self, key, nv, nc):
+        # the float-cos oracle of the DCT-row family
         conf = cfg(nv=nv, nc=nc, key=key)
         got = generate_carriers(conf).matrix
-        want = gram_schmidt_carriers(conf).matrix
+        want = dct_row_carriers(conf).matrix
         assert np.max(np.abs(got - want)) <= 1e-12
 
-    def test_dependent_draw_is_rejected(self, monkeypatch):
-        real = np.random.Generator
+    @pytest.mark.parametrize("nv", [1, 2, 3, 8, 9, 64, 257])
+    def test_a_full_draw_is_an_orthogonal_matrix(self, nv):
+        # nc = nv takes every DCT row once, so no two carriers can depend
+        for key in ORACLE_KEYS:
+            c = generate_carriers(cfg(nv=nv, nc=nv, key=key)).matrix
+            assert np.max(np.abs(c @ c.T - np.eye(nv))) <= 4e-15
+            assert np.max(np.abs(c.T @ c - np.eye(nv))) <= 4e-15
 
-        class RepeatedRow:
-            """The keyed draw with its last row replaced by its first."""
-
-            def __init__(self, bit_generator):
-                self._rng = real(bit_generator)
-
-            def standard_normal(self, shape):
-                mat = self._rng.standard_normal(shape)
-                mat[-1] = mat[0]
-                return mat
-
-        monkeypatch.setattr(modulation.np.random, "Generator", RepeatedRow)
-        with pytest.raises(CarrierError, match="not linearly independent"):
-            generate_carriers(cfg(nv=8, nc=3, key=5))
+    def test_single_magnitude_rows_come_last(self):
+        # rows 0 and nv/2 hold one magnitude in every component; with
+        # nc <= nv - 2 no key draws them, and a full draw ends on them
+        nv = 1024
+        for key in range(1000):
+            nc = nv - 2 if key % 100 == 0 else 48
+            mat = generate_carriers(cfg(nv=nv, nc=nc, key=key)).matrix
+            assert np.all(np.ptp(np.abs(mat), axis=1) > 0), key
+        for nv in (1023, 1024):
+            mat = generate_carriers(cfg(nv=nv, nc=nv, key=5)).matrix
+            spread = np.ptp(np.abs(mat), axis=1)
+            flat = 1 if nv % 2 else 2
+            assert np.all(spread[:-flat] > 0) and np.all(spread[-flat:] == 0)
+            assert np.all(np.abs(mat[nv - flat]) == np.sqrt(1.0 / nv))
 
     def test_orthonormalize_needs_enough_dimensions(self):
         with pytest.raises(CarrierError):
@@ -176,7 +182,7 @@ class TestCarrierCache:
         fresh = generate_carriers(conf)
         assert fresh is not hit
         assert hit.matrix.tobytes() == fresh.matrix.tobytes()
-        want = gram_schmidt_carriers(conf).matrix
+        want = dct_row_carriers(conf).matrix
         assert np.max(np.abs(hit.matrix - want)) <= 1e-12
 
     def test_cache_holds_one_set(self):
@@ -188,18 +194,12 @@ class TestCarrierCache:
         assert carrier_cache() == (1, 6, 1)
 
     def test_carrier_error_is_raised_on_every_call(self, monkeypatch):
-        class ZeroDraw:
-            """A draw of all zeros: no carrier is independent of the others."""
-
-            def __init__(self, bit_generator):
-                pass
-
-            def standard_normal(self, shape):
-                return np.zeros(shape)
-
-        monkeypatch.setattr(modulation.np.random, "Generator", ZeroDraw)
+        # a table of NaN cosines: CarrierSet refuses the drawn components,
+        # and the cache keeps no set and no error
+        monkeypatch.setattr(modulation, "_cosines",
+                            lambda nv: np.full(4 * nv, np.nan))
         for _ in range(2):
-            with pytest.raises(CarrierError, match="not linearly independent"):
+            with pytest.raises(CarrierError, match="must be finite"):
                 generate_carriers(cfg(nv=8, nc=3, key=5))
         assert carrier_cache() == (0, 2, 0)
 
