@@ -48,6 +48,12 @@ MAX_MESSAGE_BITS = 10**6
 # 2896 x 2896, and 1.8-2.0 s and 548 MiB at 2^23 x 1, where two
 # permutations of nv and the 4 * nv cosines outweigh the one carrier.
 MAX_CARRIER_COMPONENTS = 2**23
+# Widest phase space (--nv) one analyze run may draw its start points in,
+# checked before the first is drawn.  Through the CLI in process on a
+# shared 2-core x86 VM, at nv 10^6 the sensitivity witness took 5.2 s and
+# peaked at 527 MiB RSS, regularity 5.4 s and 592 MiB, continuity 3.5 s
+# and 470 MiB; at nv 10^5 each took 0.2-0.3 s and 71-87 MiB.
+MAX_MEDIA_COMPONENTS = 10**6
 
 
 def charge(name: str, amount, what: str) -> None:

@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from . import fileio
+from . import budget, fileio
 from .chaos_analysis import (
     DEFAULT_TOLERANCE,
     _TRIAL_SETUP,
@@ -162,7 +162,11 @@ def _cmd_decode(args) -> int:
 # expansivity draws no point, so it never seeds a generator.
 
 def _start_points(seed: int, space: SpaceConfig):
-    """Random start points, drawn on demand from default_rng(seed)."""
+    """Random start points, drawn on demand from default_rng(seed).  The
+    width is charged at the first draw, after an analysis's own checks:
+    the orbit budget, which also weighs nv, keeps its error."""
+    budget.charge("MAX_MEDIA_COMPONENTS", space.nv,
+                  f"a start point of --nv {space.nv} components")
     rng = np.random.default_rng(seed)
     while True:
         yield random_phase_point(rng, space)

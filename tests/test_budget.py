@@ -8,6 +8,7 @@ Turing-machine module.
 """
 
 import ast
+import os
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from chaosmark import (
     tm_run,
     witness_strong_transitivity,
 )
+from chaosmark.cli import build_parser
 from chaosmark.fileio import parse_message_text
 
 SPACE = SpaceConfig(nv=2)
@@ -65,6 +67,12 @@ def _carriers():
     generate_carriers(SchemeConfig(nv=2, nc=2))
 
 
+def _media():
+    args = build_parser().parse_args(["analyze", "sensitivity", "--r", "0.1",
+                                      "--nv", "2", "--out", os.devnull])
+    args.func(args)
+
+
 @pytest.mark.parametrize("name, call", [
     ("MAX_SERIES_TERMS", _series),
     ("MAX_CORRECTION_TERMS", _splice),
@@ -73,6 +81,7 @@ def _carriers():
     ("MAX_TAPE_CELLS", _tape),
     ("MAX_MESSAGE_BITS", _message),
     ("MAX_CARRIER_COMPONENTS", _carriers),
+    ("MAX_MEDIA_COMPONENTS", _media),
 ])
 def test_each_limit_is_read_from_the_budget_module(name, call, monkeypatch):
     call()

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from chaosmark import (SchemeConfig, budget, chaos_analysis, cli, fileio,
                        generate_carriers, modulation)
 from chaosmark.cli import EXIT_FALSE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from csv_oracle import read_vector_csv
 from pgm_oracle import read_vector_pgm
 
 MACHINE_TEXT = """\
@@ -25,6 +26,19 @@ halting:  accept
 scan 1 -> scan 1 R
 scan # -> accept 1 R
 """
+
+
+# CSV lines: numbers in every spelling float() takes, blank and
+# whitespace-only lines, text it refuses, and non-finite values; breaks
+# that splitlines() splits on, and a space, which it does not.
+CSV_LINES = st.sampled_from([
+    "1.5", "-0.0", "5e-324", "1e16", "1_0", "+1", " 2.5\t", "\xa03\xa0",
+    "\u0661\u0662", "\uff13.5", "nan", "-inf", "Infinity", "", " ", "\t",
+    "\x1f4", "zzz", "1__0", "_1", "0x10", "1.5.1"])
+CSV_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", " ",
+                              "\x1c", "\x85", "\u2028"])
+CSV_TEXT = st.lists(st.tuples(CSV_LINES, CSV_BREAKS), max_size=8).map(
+    lambda pairs: "".join(line + brk for line, brk in pairs))
 
 
 # PGM separators: every byte bytes.isspace() accepts, and CRLF.
@@ -338,10 +352,24 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "random_phase_point", refused)
         assert main(["analyze", "sensitivity", "--r", "0.1",
-                     "--nv", "1000000000"]) == EXIT_USAGE
+                     "--nv", "1000000"]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate 7.45 GiB ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sensitivity", "--r", "0.1"], ["transitivity", "--r-a", "0.1"],
+        ["regularity", "--eps", "0.1"], ["continuity"]])
+    def test_wide_space_is_refused_before_a_draw(self, argv, capsys,
+                                                 monkeypatch):
+        def undrawn(*args):
+            raise AssertionError("a start point was drawn")
+
+        monkeypatch.setattr(cli, "random_phase_point", undrawn)
+        assert main(["analyze", *argv, "--nv", str(10**9)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: a start point of --nv {10**9} components, more than "
+            f"MAX_MEDIA_COMPONENTS={budget.MAX_MEDIA_COMPONENTS}\n")
 
     @pytest.mark.parametrize("command", ["decode", "embed"])
     def test_carrier_draw_over_budget_is_usage_error(self, tmp_path, capsys,
@@ -964,6 +992,43 @@ class TestFileio:
                   else got[1].split(": ")[1].split(" (")[0]] += 1
         # arrays and each of the reader's eight error messages
         assert kinds["array"] >= 200 and len(kinds) == 9, kinds
+
+    @staticmethod
+    def _outcome(read, path):
+        try:
+            arr = read(path)
+        except fileio.FormatError as exc:
+            return "error", str(exc)
+        return "array", arr.dtype.str, arr.shape, arr.tobytes()
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(CSV_TEXT)
+    def test_csv_reader_matches_the_line_loop_oracle(self, tmp_path_factory,
+                                                     text):
+        path = tmp_path_factory.mktemp("csv") / "v.csv"
+        path.write_text(text, encoding="utf-8")
+        assert (self._outcome(fileio.read_vector, path)
+                == self._outcome(read_vector_csv, path)), text
+
+    @pytest.mark.parametrize("text, want", [
+        ("", ": no values found"),
+        ("\n \n\t\n", ": no values found"),
+        ("1.5\n\n \nx\n", ":4: not a number: 'x'"),
+        ("1\r\n\r\n2\r3 4\n", ":4: not a number: '3 4'"),
+        ("1\nnan\n", ": vector components must be finite"),
+        ("1_0\n+1\n\u0661\n", None),
+    ])
+    def test_csv_reader_fixed_cases(self, tmp_path, text, want):
+        """An empty file, blank lines before a bad one, and numbers only
+        float() reads: the same outcome as the oracle, and the text."""
+        path = tmp_path / "v.csv"
+        path.write_text(text, encoding="utf-8")
+        got = self._outcome(fileio.read_vector, path)
+        assert got == self._outcome(read_vector_csv, path)
+        if want is None:
+            assert got[0] == "array"
+        else:
+            assert got == ("error", f"{path}{want}")
 
     def test_message_parsing(self):
         assert fileio.parse_message_text("0b1011", 4).tolist() == [1, 0, 1, 1]

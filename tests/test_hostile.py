@@ -164,16 +164,15 @@ SCHEMES = st.sampled_from(["ss", "iss", "nw"])
 # Options of the analyze orbit commands: plain and extreme values, and
 # in most cases one option set to a bad one.  The orbit budget is cut to
 # ORBIT_WORK for these cases, so every run it lets through is short, and
-# it refuses a huge --nv before a point is drawn; continuity has no such
-# budget yet, so its --nv stays small.  The cut still lets the scan's
-# 20 trials of 21 steps at nv 8 through, setup weight included (5160).
+# it refuses a huge --nv before a point is drawn; continuity's --nv meets
+# MAX_MEDIA_COMPONENTS instead.  The cut still lets the scan's 20 trials
+# of 21 steps at nv 8 through, setup weight included (5160).
 ORBIT_WORK = 5200
 BAD = st.sampled_from(["x", "", "1.5", "nan", "inf", "-inf", "-1", "0"])
 COUNTS = st.sampled_from(["0", "1", "2", "3", "20", "1000000000",
                           "99999999999999999999999"])
 NVS = st.sampled_from(["1", "2", "8", "64", "1000000000",
                        "99999999999999999999999"])
-SMALL_NVS = st.sampled_from(["1", "2", "8", "64"])
 REALS = st.sampled_from(["5e-324", "1e-307", "1e-300", "0.01", "0.5", "1",
                          "20", "8e307", "1e308"])
 SEEDS = st.sampled_from(["0", "7", "99999999999999999999999"])
@@ -330,32 +329,33 @@ def test_analyze_expansivity_survives_hostile_options(small_orbit_budget,
 
 
 @CASES
-@given(argv=hostile_options(scales=SCALES, nv=SMALL_NVS, bound_n=REALS,
+@given(argv=hostile_options(scales=SCALES, nv=NVS, bound_n=REALS,
                             seed=SEEDS, tolerance=TOLERANCES, format=FORMATS))
 def test_analyze_continuity_survives_hostile_options(argv):
     run_cli(["analyze", "continuity", *argv])
 
 
 # The witnesses: radius or eps, tolerance, bound and seed, each plain,
-# extreme or bad.  They have no nv budget yet, so --nv stays small.  No
-# budget needs a cut: the slowest case, a transitivity splice at nv 64
-# and r_a 1e-300, took 0.3 s on a shared 2-core x86 VM.
+# extreme or bad; MAX_MEDIA_COMPONENTS refuses a huge --nv before a
+# point is drawn.  No budget needs a cut: the slowest case, a
+# transitivity splice at nv 64 and r_a 1e-300, took 0.3 s on a shared
+# 2-core x86 VM.
 @CASES
-@given(argv=hostile_options(r=REALS, nv=SMALL_NVS, bound_n=REALS, seed=SEEDS,
+@given(argv=hostile_options(r=REALS, nv=NVS, bound_n=REALS, seed=SEEDS,
                             tolerance=TOLERANCES, format=FORMATS))
 def test_analyze_sensitivity_survives_hostile_options(argv):
     run_cli(["analyze", "sensitivity", "--r=0.1", *argv])
 
 
 @CASES
-@given(argv=hostile_options(r_a=REALS, nv=SMALL_NVS, bound_n=REALS,
+@given(argv=hostile_options(r_a=REALS, nv=NVS, bound_n=REALS,
                             seed=SEEDS, tolerance=TOLERANCES, format=FORMATS))
 def test_analyze_transitivity_survives_hostile_options(argv):
     run_cli(["analyze", "transitivity", "--r-a=0.1", *argv])
 
 
 @CASES
-@given(argv=hostile_options(eps=REALS, nv=SMALL_NVS, bound_n=REALS,
+@given(argv=hostile_options(eps=REALS, nv=NVS, bound_n=REALS,
                             seed=SEEDS, tolerance=TOLERANCES, format=FORMATS))
 def test_analyze_regularity_survives_hostile_options(argv):
     run_cli(["analyze", "regularity", "--eps=0.1", *argv])
