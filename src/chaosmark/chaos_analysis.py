@@ -241,6 +241,14 @@ def witness_sensitivity(x: PhasePoint, r: float, space: SpaceConfig,
 
 # ---------- strong transitivity ----------
 
+def _require_splice_budget(nv: int) -> None:
+    """Raise BudgetExceeded if no transitivity splice at nv can fit
+    MAX_CORRECTION_TERMS: _transitivity_candidate spends one correction
+    term or more on each of the nv media components."""
+    budget.charge("MAX_CORRECTION_TERMS", nv, f"the transitivity splice "
+                  f"needs at least {nv} correction terms")
+
+
 def _transitivity_candidate(x_a: PhasePoint, x_b: PhasePoint, depth: int,
                             bound: float):
     """Point that follows x_a for `depth` steps, then steers to x_b.

@@ -32,6 +32,7 @@ from .chaos_analysis import (
     _TRIAL_SETUP,
     _require_eps,
     _require_orbit_budget,
+    _require_splice_budget,
     _require_tolerance,
     _require_trials,
     _sensitivity_point,
@@ -164,7 +165,8 @@ def _cmd_decode(args) -> int:
 def _start_points(seed: int, space: SpaceConfig):
     """Random start points, drawn on demand from default_rng(seed).  The
     width is charged at the first draw, after an analysis's own checks:
-    the orbit budget, which also weighs nv, keeps its error."""
+    the orbit and correction budgets, which also weigh nv, keep their
+    errors."""
     budget.charge("MAX_MEDIA_COMPONENTS", space.nv,
                   f"a start point of --nv {space.nv} components")
     rng = np.random.default_rng(seed)
@@ -178,6 +180,7 @@ def _sensitivity(args, space, seed, points):
 
 
 def _transitivity(args, space, seed, points):
+    _require_splice_budget(space.nv)
     x_a, x_b = next(points), next(points)
     report = witness_strong_transitivity(x_a, args.r_a, x_b, space,
                                          args.tolerance)

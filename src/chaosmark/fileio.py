@@ -15,6 +15,13 @@ Truncating a written file to zero first, as opening it in mode "w"
 does, makes ext4 flush it on close: on a shared 2-core x86 VM a 3 KB
 rewrite took 54-60 us that way and 10-15 us in place.  The write is
 still not atomic.
+
+A vector's text is repr's for each component, as json.dumps writes it:
+the shortest digits that read back to the same double.  repr costs
+about 0.6 us a float, most of a stego vector's write; orjson, a
+required dependency, writes the same digits about five times faster
+(0.12 against 0.63 ms for 1024 floats on the same VM), and _floats
+lets repr redo only what orjson lays out differently.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import budget
 from .phase_space import _frozen, as_vector
@@ -69,13 +77,34 @@ def write_vector(path, vec) -> None:
     vec = as_vector(vec)
     suffix = path.suffix.lower()
     if suffix == ".json":
-        payload = {"nv": int(vec.size), "data": vec.tolist()}
-        _write(path, json.dumps(payload, sort_keys=True) + "\n")
+        # json.dumps({"nv": ..., "data": ...}, sort_keys=True)'s bytes
+        _write(path, '{"data": [' + _floats(vec, ", ")
+               + f'], "nv": {vec.size}}}\n')
     elif suffix == ".csv":
-        _write(path, "\n".join(map(repr, vec.tolist())) + "\n")
+        _write(path, _floats(vec, "\n") + "\n")
     else:
         raise FormatError(
             f"unsupported vector output format {suffix!r}; use .json or .csv")
+
+
+def _floats(vec: np.ndarray, sep: str) -> str:
+    """sep.join(map(repr, vec.tolist())) for a vector of finite floats.
+
+    orjson writes repr's shortest digits, but where repr takes an
+    exponent, at 0 < |x| < 1e-4 and |x| >= 1e16, orjson lays them out
+    its own way (0.000025 for 2.5e-05, 1e-7 for 1e-07, 1e16 for 1e+16),
+    so repr writes just those components again.  The cut is exact: the
+    shortest digits of the double nearest 1e-4 are 1e-4, so those of
+    every double below it are below 1e-4, and likewise at 1e16.  Zeros
+    agree.  Other orjson releases may lay digits out differently, so
+    pyproject.toml holds orjson to the minor release the tests passed on.
+    """
+    values = vec.tolist()
+    parts = orjson.dumps(values)[1:-1].decode("ascii").split(",")
+    mag = np.abs(vec)
+    for i in np.flatnonzero(((mag > 0) & (mag < 1e-4)) | (mag >= 1e16)):
+        parts[i] = repr(values[i])
+    return sep.join(parts)
 
 
 def _write(path, text: str) -> None:

@@ -310,8 +310,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: --seed must be a non-negative integer, got -1\n"
 
-    def test_transitivity_over_budget_is_usage_error(self, capsys):
-        # every one of the 10001 media components needs a correction term
+    def test_transitivity_over_budget_is_usage_error(self, capsys,
+                                                      monkeypatch):
+        # every one of the 10001 media components needs a correction term,
+        # so the splice is refused before a start point is drawn
+        def undrawn(*args):
+            raise AssertionError("a start point was drawn")
+
+        monkeypatch.setattr(cli, "random_phase_point", undrawn)
         assert main(["analyze", "transitivity", "--nv", "10001",
                      "--r-a", "0.01"]) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -367,9 +373,15 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "random_phase_point", undrawn)
         assert main(["analyze", *argv, "--nv", str(10**9)]) == EXIT_USAGE
-        assert capsys.readouterr().err == (
-            f"error: a start point of --nv {10**9} components, more than "
-            f"MAX_MEDIA_COMPONENTS={budget.MAX_MEDIA_COMPONENTS}\n")
+        if argv[0] == "transitivity":
+            # a splice needs a correction term per component, charged first
+            want = (f"the transitivity splice needs at least {10**9} "
+                    f"correction terms, more than MAX_CORRECTION_TERMS="
+                    f"{budget.MAX_CORRECTION_TERMS}")
+        else:
+            want = (f"a start point of --nv {10**9} components, more than "
+                    f"MAX_MEDIA_COMPONENTS={budget.MAX_MEDIA_COMPONENTS}")
+        assert capsys.readouterr().err == f"error: {want}\n"
 
     @pytest.mark.parametrize("command", ["decode", "embed"])
     def test_carrier_draw_over_budget_is_usage_error(self, tmp_path, capsys,
@@ -891,8 +903,24 @@ class TestFileio:
         assert np.array_equal(fileio.read_vector(path), vec)
 
     # Floats whose shortest repr is easy to get wrong: signed zero, the
-    # smallest subnormal, and the repr switches to exponent notation.
-    EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e-05, 1e16, -1e16, 0.1, 1.5e300)
+    # smallest subnormal, and the repr switches to exponent notation, with
+    # their neighbours, where write_vector's writer re-renders a component.
+    EDGE_FLOATS = (
+        -0.0, 0.0, 5e-324, -5e-324, 1e-05, 1e16, -1e16, 0.1, 1.5e300,
+        *(float(np.nextafter(edge, toward)) for edge in (1e-05, 1e-04, 1e16)
+          for toward in (0.0, np.inf)),
+        2.5e-05, 9999999999999998.0, 1e22, 1e23,
+        float(np.finfo(np.float64).max), float(np.finfo(np.float64).tiny))
+
+    @staticmethod
+    def _per_element_text(vec) -> dict:
+        """The vector file bytes of the per-element float() writer."""
+        values = vec.tolist()
+        return {
+            ".json": json.dumps({"nv": len(values), "data": values},
+                                sort_keys=True) + "\n",
+            ".csv": "".join(f"{v!r}\n" for v in values),
+        }
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(st.lists(st.sampled_from(EDGE_FLOATS)
@@ -901,18 +929,24 @@ class TestFileio:
     def test_vector_bytes_match_per_element_writer(self, tmp_path_factory, values):
         """write_vector's bytes are those of the per-element float() writer."""
         vec = np.array(values, dtype=np.float64)
-        want = {
-            ".json": json.dumps({"nv": int(vec.size),
-                                 "data": [float(v) for v in vec]},
-                                sort_keys=True) + "\n",
-            ".csv": "".join(f"{float(v)!r}\n" for v in vec),
-        }
         folder = tmp_path_factory.mktemp("vec")
-        for suffix, text in want.items():
+        for suffix, text in self._per_element_text(vec).items():
             path = folder / f"v{suffix}"
             fileio.write_vector(path, vec)
             assert path.read_bytes() == text.encode("utf-8")
             assert fileio.read_vector(path).tobytes() == vec.tobytes()
+
+    def test_bulk_vector_bytes_match_per_element_writer(self, tmp_path):
+        """The same over 2*10^5 random bit patterns (every exponent, both
+        signs, subnormals), non-finite ones dropped, plus the edges."""
+        bits = np.random.default_rng(29).integers(
+            0, 2**64, 200_000, dtype=np.uint64)
+        vec = bits.view(np.float64)
+        vec = np.concatenate([vec[np.isfinite(vec)], self.EDGE_FLOATS])
+        for suffix, text in self._per_element_text(vec).items():
+            path = tmp_path / f"v{suffix}"
+            fileio.write_vector(path, vec)
+            assert path.read_bytes() == text.encode("utf-8")
 
     def test_vector_json_entries_are_numbers_not_booleans(self, tmp_path):
         path = tmp_path / "v.json"
