@@ -174,12 +174,7 @@ def _require_eps(eps: float) -> float:
     return eps
 
 
-def _require_trials(trials: int) -> None:
-    if not isinstance(trials, int) or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
-
-
-def _require_orbit_budget(walks: int, n_max: int, nv: int, setup: int) -> None:
+def _require_orbit_budget(n_max: int, nv: int, walks=1, setup=0) -> None:
     """Raise BudgetExceeded if walks orbits of n_max + 1 steps at nv, each
     set up for `setup` step-components, exceed MAX_ORBIT_WORK; n_max must
     be a non-negative integer."""
@@ -422,7 +417,7 @@ def expansivity_counterexample(eps: float, n_max: int, space: SpaceConfig,
     BudgetExceeded before the pair is built.
     """
     tolerance = _require_tolerance(tolerance)
-    _require_orbit_budget(1, n_max, space.nv, 0)
+    _require_orbit_budget(n_max, space.nv)
     eps = float(eps)
     n = space.bound_n
     nv = space.nv
@@ -473,6 +468,7 @@ def witness_continuity(x: PhasePoint, scales, space: SpaceConfig,
     most twice its input distance (plus tolerance) and the image
     distances do not increase as the scales shrink.
     """
+    tolerance = _require_tolerance(tolerance)
     scales = [float(s) for s in scales]
     if not scales or any(not (math.isfinite(s) and s > 0.0) for s in scales):
         raise ValueError("scales must be positive finite reals")
@@ -485,8 +481,6 @@ def witness_continuity(x: PhasePoint, scales, space: SpaceConfig,
     perturbed = [_perturbed(x, s) for s in used]
     if perturbed:
         walk, media = _orbit_distances(x, perturbed, 1, space)
-    # after the walk, so a walk's error keeps precedence over this one
-    tolerance = _require_tolerance(tolerance)
     if not perturbed:
         raise ValueError("no usable scales: every perturbation left the bound")
     input_d, image_d = walk.tolist()
@@ -524,13 +518,20 @@ def witness_continuity(x: PhasePoint, scales, space: SpaceConfig,
 
 # ---------- traces and randomized scan ----------
 
+def _require_scan(trials: int, n_max: int, nv: int) -> None:
+    """The scan's pre-draw checks: trials first, then their orbit work."""
+    if not isinstance(trials, int) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    _require_orbit_budget(n_max, nv, trials, _TRIAL_SETUP)
+
+
 def divergence_trace(x: PhasePoint, y: PhasePoint, n_max: int,
                      space: SpaceConfig) -> OrbitTrace:
     """Distances between the orbits of x and y at steps 0..n_max.
 
     More than MAX_ORBIT_WORK steps times nv raise BudgetExceeded.
     """
-    _require_orbit_budget(1, n_max, x.dim, 0)
+    _require_orbit_budget(n_max, x.dim)
     walk, media = _orbit_distances(x, [y], n_max, space)
     return OrbitTrace(
         points=_frozen(np.column_stack([np.arange(n_max + 1), walk, media])),
@@ -575,8 +576,7 @@ def empirical_sensitivity_scan(x: PhasePoint, r: float, trials: int,
     step-components, trials * ((n_max + 1) * nv + _TRIAL_SETUP), raise
     BudgetExceeded before any trial is built.
     """
-    _require_trials(trials)
-    _require_orbit_budget(trials, n_max, x.dim, _TRIAL_SETUP)
+    _require_scan(trials, n_max, x.dim)
     r = float(r)
     k0 = ball_index(r)
     best = 0.0

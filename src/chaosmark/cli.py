@@ -29,12 +29,11 @@ import numpy as np
 from . import budget, fileio
 from .chaos_analysis import (
     DEFAULT_TOLERANCE,
-    _TRIAL_SETUP,
     _require_eps,
     _require_orbit_budget,
+    _require_scan,
     _require_splice_budget,
     _require_tolerance,
-    _require_trials,
     _sensitivity_point,
     ball_index,
     divergence_trace,
@@ -160,7 +159,8 @@ def _cmd_decode(args) -> int:
 # ---------- analyze ----------
 # An analysis takes the arguments, the space, the seed and a lazy stream
 # of start points; it returns its own config keys and its report body.
-# expansivity draws no point, so it never seeds a generator.
+# expansivity draws no point, so it never seeds a generator.  Every
+# report echoes --tolerance, so _cmd_analyze checks it before any runs.
 
 def _start_points(seed: int, space: SpaceConfig):
     """Random start points, drawn on demand from default_rng(seed).  The
@@ -211,10 +211,7 @@ def _continuity(args, space, seed, points):
 
 
 def _scan(args, space, seed, points):
-    _require_tolerance(args.tolerance)
-    _require_orbit_budget(args.trials, args.n_max, space.nv, _TRIAL_SETUP)
-    # no trials pass any budget, so check them before x is drawn at nv
-    _require_trials(args.trials)
+    _require_scan(args.trials, args.n_max, space.nv)
     x = next(points)
     value = empirical_sensitivity_scan(x, args.r, args.trials, args.n_max,
                                        seed, space)
@@ -224,8 +221,7 @@ def _scan(args, space, seed, points):
 
 
 def _trace(args, space, seed, points):
-    _require_tolerance(args.tolerance)
-    _require_orbit_budget(1, args.n_max, space.nv, 0)
+    _require_orbit_budget(args.n_max, space.nv)
     # the report records both values, whichever of them the pair uses
     k0 = ball_index(args.r)
     _require_eps(args.eps)
@@ -244,6 +240,7 @@ def _trace(args, space, seed, points):
 def _cmd_analyze(args) -> int:
     space = SpaceConfig(nv=args.nv, bound_n=args.bound_n)
     seed = _seed_of(args)
+    _require_tolerance(args.tolerance)
     extra, body = args.analyze(args, space, seed, _start_points(seed, space))
     config = {"nv": space.nv, "bound_n": space.bound_n, "seed": seed,
               "tolerance": args.tolerance, **extra}

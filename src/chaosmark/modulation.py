@@ -26,6 +26,7 @@ from . import budget
 from .phase_space import (
     DimensionMismatch,
     PhasePoint,
+    SpaceConfig,
     Strategy,
     as_vector,
     check_strategy_bounds,
@@ -62,7 +63,7 @@ class SchemeConfig:
     eta            nw distortion factor (positive)
     key            64-bit unsigned seed for carrier generation
     orthonormalize draw orthonormal carriers (requires nc <= nv)
-    bound_n        strategy component bound N of the ambient phase space
+    bound_n        strategy component bound N, as SpaceConfig takes it
     """
 
     nv: int
@@ -76,8 +77,8 @@ class SchemeConfig:
     bound_n: float = 10.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.nv, int) or self.nv < 1:
-            raise ValueError(f"nv must be a positive integer, got {self.nv!r}")
+        space = SpaceConfig(self.nv, self.bound_n)  # nv still before nc
+        object.__setattr__(self, "bound_n", space.bound_n)
         if not isinstance(self.nc, int) or self.nc < 1:
             raise ValueError(f"nc must be a positive integer, got {self.nc!r}")
         if self.orthonormalize and self.nc > self.nv:
@@ -93,8 +94,6 @@ class SchemeConfig:
             raise ValueError(f"eta must be positive, got {self.eta!r}")
         if not isinstance(self.key, int) or not 0 <= self.key < _MAX_KEY:
             raise ValueError("key must be an unsigned 64-bit integer")
-        if not (math.isfinite(self.bound_n) and self.bound_n > 0):
-            raise ValueError(f"bound_n must be positive, got {self.bound_n!r}")
 
 
 @dataclass(frozen=True, eq=False)

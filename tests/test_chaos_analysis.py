@@ -449,11 +449,18 @@ class TestContinuity:
         with pytest.raises(ValueError):
             witness_continuity(rest(2), [1e-1, -1e-2], SPACE2)
 
-    def test_scales_are_checked_before_the_tolerance(self):
-        with pytest.raises(ValueError, match="strictly decreasing"):
+    def test_tolerance_is_checked_before_the_scales(self, monkeypatch):
+        # first, as in the other four witnesses, and before any walk
+        def unwalked(*args):
+            raise AssertionError("an orbit was walked")
+
+        monkeypatch.setattr(chaos_analysis, "_orbit_distances", unwalked)
+        with pytest.raises(ValueError, match="tolerance"):
             witness_continuity(rest(2), [1e-3, 1e-2], SPACE2, tolerance=-1.0)
         with pytest.raises(ValueError, match="tolerance"):
             witness_continuity(rest(2), [1e-2], SPACE2, tolerance=-1.0)
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            witness_continuity(rest(2), [1e-3, 1e-2], SPACE2)
 
     @pytest.mark.parametrize("bound_n", [10.0, 0.5])
     @pytest.mark.parametrize("nv", [1, 8, 64])

@@ -383,6 +383,44 @@ class TestExitCodes:
                     f"MAX_MEDIA_COMPONENTS={budget.MAX_MEDIA_COMPONENTS}")
         assert capsys.readouterr().err == f"error: {want}\n"
 
+    @pytest.mark.parametrize("argv,want", [
+        *[([*argv, "--tolerance", "-1"],
+           "tolerance must be non-negative, got -1.0")
+          for argv in (["sensitivity", "--r", "0.1"],
+                       ["transitivity", "--r-a", "0.1"],
+                       ["regularity", "--eps", "0.1"], ["continuity"],
+                       ["scan", "--r", "0.1"], ["trace"])],
+        # --trials 0: test_scan_trials_are_checked_before_a_point_is_drawn
+        (["scan", "--r", "0.1", "--trials", "1", "--n-max", "1000000"],
+         "an orbit walk of 1000001 steps at nv 8 and a setup of "
+         f"{chaos_analysis._TRIAL_SETUP} per trial needs "
+         f"{8000008 + chaos_analysis._TRIAL_SETUP} step-components, more "
+         f"than MAX_ORBIT_WORK={budget.MAX_ORBIT_WORK}"),
+    ], ids=["sensitivity", "transitivity", "regularity", "continuity", "scan",
+            "trace", "scan-n-max"])
+    def test_every_check_comes_before_a_draw(self, argv, want, capsys,
+                                             monkeypatch):
+        def undrawn(*args):
+            raise AssertionError("a start point was drawn")
+
+        monkeypatch.setattr(cli, "random_phase_point", undrawn)
+        assert main(["analyze", *argv]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {want}\n"
+
+    def test_embed_refuses_the_bound_analyze_refuses(self, tmp_path, capsys,
+                                                     host_json):
+        # one rule for N: 2 * N must be finite, whichever command reads it
+        assert main(["analyze", "sensitivity", "--r", "0.1",
+                     "--bound-n", "1e308"]) == EXIT_USAGE
+        refused = capsys.readouterr().err
+        assert refused == ("error: bound_n must be positive with 2 * bound_n "
+                           "finite, got 1e+308\n")
+        assert main(["embed", "--scheme", "ss", "--host", str(host_json),
+                     "--message", "1", "--bound-n", "1e308",
+                     "--out", str(tmp_path / "s.json")]) == EXIT_USAGE
+        assert capsys.readouterr().err == refused
+        assert not (tmp_path / "s.json").exists()
+
     @pytest.mark.parametrize("command", ["decode", "embed"])
     def test_carrier_draw_over_budget_is_usage_error(self, tmp_path, capsys,
                                                      monkeypatch, command):

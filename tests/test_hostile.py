@@ -2,15 +2,16 @@
 
 Each case runs ``cli.main`` in process on generated message text and
 message files, embed hosts and decode inputs read from generated JSON,
-CSV and PGM vector files, machine files and tapes, or on the options of
-every ``analyze`` command (the orbit commands scan, trace, expansivity
-and continuity, and the witnesses sensitivity, transitivity and
-regularity) and the seeds they read from ``--seed`` or
-``CHAOSMARK_SEED``, and must exit with a documented code (0-3), print no
-traceback, and finish inside WALL_S seconds.  A vector file that is
-well formed but holds a non-finite value must exit 3 with one
-``error:`` line.  ``derandomize=True`` makes every run draw the same
-examples, so CI is deterministic; EXAMPLES cases run per test.
+CSV and PGM vector files, the scheme options of embed and decode,
+machine files and tapes, or on the options of every ``analyze``
+command (the orbit commands scan, trace, expansivity and continuity,
+and the witnesses sensitivity, transitivity and regularity) and the
+seeds they read from ``--seed`` or ``CHAOSMARK_SEED``, and must exit
+with a documented code (0-3), print no traceback, and finish inside
+WALL_S seconds.  A vector file that is well formed but holds a
+non-finite value must exit 3 with one ``error:`` line.
+``derandomize=True`` makes every run draw the same examples, so CI is
+deterministic; EXAMPLES cases run per test.
 """
 
 import contextlib
@@ -400,3 +401,34 @@ def test_analyze_survives_hostile_seed_variables(command, seed, monkeypatch):
     monkeypatch.setenv("CHAOSMARK_SEED", seed)
     code, err = run_cli(["analyze", command, *SEEDED[command]])
     _check_seed(seed, code, err)
+
+
+# Scheme options on embed, for each scheme, and on decode: the
+# amplitudes, the host-rejection factor and the bound each plain,
+# extreme or bad, keys outside [0, 2^64), --nc from 0 to past every
+# budget, with and without orthonormal carriers.  --nc stops at 10^4
+# below the refusals: 10^6 raw carriers at nv 8 are inside the budgets
+# but take about 1 s, too near WALL_S.
+KEYS = st.sampled_from(["-1", "0", "7", str(2**64)])
+WIDTHS = st.sampled_from(["0", "-1", "1", "4", "8", "9", "10000",
+                          "99999999999999999999999"])
+SCHEME_OPTIONS = {"gamma": REALS, "alpha": REALS, "lambda": REALS,
+                  "eta": REALS, "bound_n": REALS, "key": KEYS, "nc": WIDTHS}
+RAW = st.sampled_from([[], ["--no-orthonormalize"]])
+
+
+@CASES
+@given(scheme=SCHEMES, argv=hostile_options(**SCHEME_OPTIONS), raw=RAW,
+       message=st.sampled_from(["1011", "0x1"]))
+def test_embed_survives_hostile_scheme_options(work, scheme, argv, raw,
+                                               message):
+    run_cli(["embed", "--scheme", scheme, "--host", str(work / "host.json"),
+             f"--message={message}", "--out", str(work / "stego.json"),
+             *argv, *raw])
+
+
+@CASES
+@given(scheme=SCHEMES, argv=hostile_options(**SCHEME_OPTIONS), raw=RAW)
+def test_decode_survives_hostile_scheme_options(work, scheme, argv, raw):
+    run_cli(["decode", "--scheme", scheme, "--stego", str(work / "host.json"),
+             *argv, *raw])

@@ -1,5 +1,6 @@
 """Modulation schemes: carriers, the strategy builder, embed/decode."""
 
+import math
 import re
 
 import numpy as np
@@ -16,6 +17,7 @@ from chaosmark import (
     DecodeResult,
     DimensionMismatch,
     SchemeConfig,
+    SpaceConfig,
     ZeroProjectionError,
     as_message,
     decode,
@@ -452,3 +454,26 @@ class TestConfigValidation:
         c = generate_carriers(cfg(nv=4, nc=2))
         with pytest.raises(DimensionMismatch):
             embed([0.0] * 2, [0, 1], c, cfg(nv=2, nc=2), "ss")
+
+
+def _outcome(build):
+    """The bound a config stores, with its type, or the ValueError's text."""
+    try:
+        bound = build().bound_n
+    except ValueError as exc:
+        return str(exc)
+    return bound, type(bound)
+
+
+@pytest.mark.parametrize("bound_n", [
+    0.0, -0.0, 5e-324, 10.0, 8.988465674311579e307, 8.98846567431158e307,
+    1e308, math.inf, math.nan])
+@pytest.mark.parametrize("nv", [0, -1, 1, True])
+def test_scheme_config_takes_nv_and_bound_n_as_space_config_does(nv, bound_n):
+    # 8.988465674311579e307 is float max / 2, the largest N with 2N finite
+    assert _outcome(lambda: SchemeConfig(nv=nv, nc=1, bound_n=bound_n)) == \
+        _outcome(lambda: SpaceConfig(nv, bound_n))
+
+
+def test_scheme_config_stores_the_bound_as_a_float():
+    assert _outcome(lambda: cfg(bound_n=10)) == (10.0, float)

@@ -1,4 +1,8 @@
-"""Package surface: every exported name resolves, and only once."""
+"""Package surface: every exported name resolves, and only once, and no
+module imports at its top what only one of its functions needs."""
+
+import ast
+from pathlib import Path
 
 import chaosmark
 
@@ -31,3 +35,28 @@ def test_exported_names_are_pinned():
         strategy_to_dict tm_run watermark_strategy witness_continuity
         witness_regularity witness_sensitivity witness_strong_transitivity
     """.split())
+
+
+def _module_level_imports(tree):
+    """Top-level module names imported outside any function or class body."""
+    names, stack = set(), list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add((node.module or "").partition(".")[0])
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_no_module_imports_orjson_or_hashlib_at_module_level():
+    """Only a vector write needs orjson and only a key fingerprint needs
+    hashlib, so tm and analyze runs must start without loading them."""
+    for path in sorted(Path(chaosmark.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        eager = _module_level_imports(tree) & {"orjson", "hashlib"}
+        assert not eager, (path.stem, eager)
