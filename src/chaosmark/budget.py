@@ -12,13 +12,12 @@ class BudgetExceeded(ValueError):
 # tail periods 97 and 89 (8633 terms) take 0.02 s, and 316 and 315
 # (99540 terms, the largest accepted pair of that shape) 2.1 s.
 MAX_SERIES_TERMS = 10**5
-# Most correction terms one transitivity splice may use; the count is
-# the sum over media components of max(1, ceil(|gap| / N)), so it is at
-# least nv.  Building and walking a splice is linear in the count, and
+# Most whole-vector correction terms one transitivity splice may use:
+# max(1, ceil(max |gap| / N)) over the media components, whatever nv.
+# Building and walking a splice is linear in the count times nv, and
 # each exact distance over it is a Horner sum quadratic in the count.
-# On a shared 2-core x86 VM, a whole witness with 9973 terms at nv 10
-# takes 0.1-0.2 s, nearly all of it in its three exact series; walking
-# the splice takes 5-10 ms.
+# On a shared 2-core x86 VM, a whole witness with 10^4 terms takes
+# 0.04-0.05 s at nv 1, 10 and 64; building the terms takes 4-8 ms.
 MAX_CORRECTION_TERMS = 10**4
 # Most orbit step-components (steps times nv, plus a scan's setup weight
 # per trial) one scan, trace or expansivity run may walk, counted before
@@ -52,7 +51,9 @@ MAX_CARRIER_COMPONENTS = 2**23
 # checked before the first is drawn.  Through the CLI in process on a
 # shared 2-core x86 VM, at nv 10^6 the sensitivity witness took 5.2 s and
 # peaked at 527 MiB RSS, regularity 5.4 s and 592 MiB, continuity 3.5 s
-# and 470 MiB; at nv 10^5 each took 0.2-0.3 s and 71-87 MiB.
+# and 470 MiB, and transitivity (r_a 0.1) 7.9 s and 1022 MiB, most of it
+# in its 287 MB report; at nv 10^5 each took 0.2-0.3 s and 71-87 MiB,
+# and transitivity 0.59 s and 119 MiB.
 MAX_MEDIA_COMPONENTS = 10**6
 
 

@@ -13,7 +13,7 @@ Covered properties:
                          separates from x's by at least N/2
 * strong transitivity:   a point inside any ball around x_a whose orbit
                          reaches x_b: its strategy exactly, its media
-                         within the float64 rounding of the corrections
+                         within n ulps after n whole-vector corrections
 * regularity:            an eventually periodic point within eps of x
 * non-expansivity:       a pair whose orbits never separate past a
                          fixed bound, however long they run
@@ -236,43 +236,42 @@ def witness_sensitivity(x: PhasePoint, r: float, space: SpaceConfig,
 
 # ---------- strong transitivity ----------
 
-def _require_splice_budget(nv: int) -> None:
-    """Raise BudgetExceeded if no transitivity splice at nv can fit
-    MAX_CORRECTION_TERMS: _transitivity_candidate spends one correction
-    term or more on each of the nv media components."""
-    budget.charge("MAX_CORRECTION_TERMS", nv, f"the transitivity splice "
-                  f"needs at least {nv} correction terms")
+def _closing_terms(start: np.ndarray, target: np.ndarray,
+                   bound: float) -> np.ndarray:
+    """The n = max_k ceil(|target_k - start_k| / N) whole-vector terms,
+    at least one, whose orbit carries media start to target.
+
+    The first n - 1 terms are gap / n; the last closes what their float
+    sums left, replayed with the adds the orbit makes, so the orbit
+    lands within n ulps of target.  Every term lies in [-N, N].  n is
+    charged on MAX_CORRECTION_TERMS as a float, before any term is built.
+    """
+    gap = target - start
+    # a Python float quotient overflows to inf without a warning
+    count = max(1.0, float(np.ceil(float(np.max(np.abs(gap))) / bound)))
+    budget.charge("MAX_CORRECTION_TERMS", count, f"the splice needs "
+                  f"{count:.15g} correction terms")
+    n = int(count)
+    terms = np.empty((n, start.size))
+    terms[:] = np.clip(gap / n, -bound, bound)
+    media = np.array(start)
+    for _ in range(n - 1):
+        media += terms[0]
+    np.clip(target - media, -bound, bound, out=terms[-1])
+    return _frozen(terms)
 
 
 def _transitivity_candidate(x_a: PhasePoint, x_b: PhasePoint, depth: int,
-                            bound: float):
-    """Point that follows x_a for `depth` steps, then steers to x_b.
-
-    The candidate keeps x_a's media and first `depth` strategy terms,
-    then spends one axis-aligned correction term per media component
-    closing the gap between the drifted media and x_b's media, then
-    continues with x_b's strategy verbatim.  Corrections larger than
-    the component bound are split evenly over enough consecutive terms
-    to stay inside [-N, N].  The number of corrections is counted before
-    any is built, and more than MAX_CORRECTION_TERMS raise BudgetExceeded.
-    """
-    nv = x_a.dim
-    drifted = iterate_g(x_a, depth)
-    gaps = x_b.media - drifted.media
-    pieces = np.maximum(1.0, np.ceil(np.abs(gaps) / bound))
-    count = float(np.sum(pieces))
-    budget.charge("MAX_CORRECTION_TERMS", count, f"the transitivity splice "
-                  f"needs {count:.15g} correction terms")
-    # component k's gap as n equal pieces gap / n, on n rows in turn
-    rows = np.repeat(np.arange(nv), pieces.astype(int))
-    corrections = np.zeros((len(rows), nv))
-    corrections[np.arange(len(rows)), rows] = (gaps / pieces)[rows]
+                            bound: float) -> tuple[PhasePoint, int]:
+    """Point that follows x_a for `depth` steps, steers its media to x_b's
+    with _closing_terms, then continues with x_b's strategy verbatim;
+    returned with its number of correction terms."""
+    closing = _closing_terms(iterate_g(x_a, depth).media, x_b.media, bound)
     target = x_b.strategy
-    prefix = _frozen(np.concatenate([_rows(x_a.strategy, 0, depth), corrections,
+    prefix = _frozen(np.concatenate([_rows(x_a.strategy, 0, depth), closing,
                                      target.prefix]))
-    candidate = PhasePoint(Strategy(nv, prefix, target.tail), x_a.media)
-    return (candidate, depth + len(corrections), len(corrections),
-            int(np.count_nonzero(pieces > 1)))
+    return (PhasePoint(Strategy(x_a.dim, prefix, target.tail), x_a.media),
+            len(closing))
 
 
 def witness_strong_transitivity(x_a: PhasePoint, r_a: float, x_b: PhasePoint,
@@ -284,13 +283,10 @@ def witness_strong_transitivity(x_a: PhasePoint, r_a: float, x_b: PhasePoint,
     The matching depth starts at the decade index of r_a and deepens
     (rarely more than once) until the candidate measurably lies inside
     the ball; the splice itself steers to x_b regardless of depth.  The
-    orbit reaches x_b's strategy exactly, but its media only within the
-    float64 rounding of the correction sums.  That grows with the number
-    of terms a wide gap is split into: 3001 pieces of a gap of 30000.7
-    land 1.2e-9 off, over DEFAULT_TOLERANCE.  iterations_used reports
-    the full step count, including any correction terms split to respect
-    the component bound.  A splice that needs more than
-    MAX_CORRECTION_TERMS correction terms raises BudgetExceeded.
+    orbit reaches x_b's strategy exactly and its media within n ulps,
+    for the n = max_k ceil(|gap_k| / N) correction terms of the splice;
+    iterations_used counts the matching depth plus those n.  A splice
+    that needs more than MAX_CORRECTION_TERMS terms raises BudgetExceeded.
     """
     tolerance = _require_tolerance(tolerance)
     if x_a.dim != x_b.dim:
@@ -302,13 +298,14 @@ def witness_strong_transitivity(x_a: PhasePoint, r_a: float, x_b: PhasePoint,
 
     depth = k0
     while True:
-        candidate, steps, n_corrections, oversize = _transitivity_candidate(
+        candidate, n_corrections = _transitivity_candidate(
             x_a, x_b, depth, bound)
         ball_distance = d_phase(x_a, candidate, space)
         if ball_distance <= r_a:
             break
         depth += 1
 
+    steps = depth + n_corrections
     final = iterate_g(candidate, steps)
     final_distance = d_phase(final, x_b, space)
     verdict = final_distance <= tolerance
@@ -319,7 +316,6 @@ def witness_strong_transitivity(x_a: PhasePoint, r_a: float, x_b: PhasePoint,
             "k0": k0,
             "matching_depth": depth,
             "correction_terms": n_corrections,
-            "split_components": oversize,
             "nv": x_a.dim,
             "bound_n": bound,
         },

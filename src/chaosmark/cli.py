@@ -32,7 +32,6 @@ from .chaos_analysis import (
     _require_eps,
     _require_orbit_budget,
     _require_scan,
-    _require_splice_budget,
     _require_tolerance,
     _sensitivity_point,
     ball_index,
@@ -160,13 +159,13 @@ def _cmd_decode(args) -> int:
 # An analysis takes the arguments, the space, the seed and a lazy stream
 # of start points; it returns its own config keys and its report body.
 # expansivity draws no point, so it never seeds a generator.  Every
-# report echoes --tolerance, so _cmd_analyze checks it before any runs.
+# report but scan's and trace's echoes --tolerance, so _cmd_analyze
+# checks it before any runs.
 
 def _start_points(seed: int, space: SpaceConfig):
     """Random start points, drawn on demand from default_rng(seed).  The
     width is charged at the first draw, after an analysis's own checks:
-    the orbit and correction budgets, which also weigh nv, keep their
-    errors."""
+    the orbit budget, which also weighs nv, keeps its errors."""
     budget.charge("MAX_MEDIA_COMPONENTS", space.nv,
                   f"a start point of --nv {space.nv} components")
     rng = np.random.default_rng(seed)
@@ -180,7 +179,6 @@ def _sensitivity(args, space, seed, points):
 
 
 def _transitivity(args, space, seed, points):
-    _require_splice_budget(space.nv)
     x_a, x_b = next(points), next(points)
     report = witness_strong_transitivity(x_a, args.r_a, x_b, space,
                                          args.tolerance)
@@ -240,10 +238,11 @@ def _trace(args, space, seed, points):
 def _cmd_analyze(args) -> int:
     space = SpaceConfig(nv=args.nv, bound_n=args.bound_n)
     seed = _seed_of(args)
-    _require_tolerance(args.tolerance)
+    config = {"nv": space.nv, "bound_n": space.bound_n, "seed": seed}
+    if "tolerance" in args:
+        config["tolerance"] = _require_tolerance(args.tolerance)
     extra, body = args.analyze(args, space, seed, _start_points(seed, space))
-    config = {"nv": space.nv, "bound_n": space.bound_n, "seed": seed,
-              "tolerance": args.tolerance, **extra}
+    config.update(extra)
     fileio.emit(fileio.report(f"analyze {args.analysis}", config, **body),
                 args.format, args.out,
                 kind="trace" if args.analysis == "trace" else "kv")
@@ -292,12 +291,13 @@ def _add_scheme_options(p: argparse.ArgumentParser) -> None:
                    help="strategy component bound N")
 
 
-def _add_analyze_options(p: argparse.ArgumentParser) -> None:
+def _add_analyze_options(p: argparse.ArgumentParser, verdict=True) -> None:
     p.add_argument("--nv", type=int, default=8)
     p.add_argument("--bound-n", type=float, default=10.0)
     p.add_argument("--seed", type=int, default=None,
                    help="randomization seed (default: $CHAOSMARK_SEED or 0)")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    if verdict:
+        p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
@@ -363,14 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze, analyze=_continuity)
 
     p = an_sub.add_parser("scan", help="randomized in-ball separation scan")
-    _add_analyze_options(p)
+    _add_analyze_options(p, verdict=False)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--n-max", type=int, default=20)
     p.set_defaults(func=_cmd_analyze, analyze=_scan)
 
     p = an_sub.add_parser("trace", help="orbit divergence trace")
-    _add_analyze_options(p)
+    _add_analyze_options(p, verdict=False)
     p.add_argument("--pair", choices=("sensitivity", "expansivity", "random"),
                    default="sensitivity")
     p.add_argument("--r", type=float, default=0.1,
@@ -407,7 +407,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, MemoryError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # Python's own allocations raise MemoryError() with no text
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

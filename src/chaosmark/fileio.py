@@ -44,7 +44,7 @@ import numpy as np
 from . import budget
 from .phase_space import _frozen, as_vector
 
-SCHEMA = "chaosmark/4"
+SCHEMA = "chaosmark/5"
 # Whitespace and #-comments to the end of their line, then one token.
 # Matched from where the last token ended, so none is found in a comment.
 _PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")

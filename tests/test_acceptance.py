@@ -89,21 +89,22 @@ def test_criterion_2_transitivity_exact_hit(capsys):
         x_a = bounded_point(rng, 8, media_scale=1.0, term_scale=0.25)
         x_b = bounded_point(rng, 8, media_scale=1.0, term_scale=0.25)
         # Radii sit in the top of a decade so the matching depth equals
-        # the ball index and the orbit length is exactly k0 + nv.
+        # the ball index; every gap is under N, so one whole-vector term
+        # closes it and the orbit length is exactly k0 + 1.
         r_a = rng.uniform(0.4, 0.99) * 10.0 ** (1 - int(rng.integers(1, 4)))
         report = witness_strong_transitivity(x_a, r_a, x_b, space)
         worst = max(worst, report.measured["final_distance"])
         if (not report.verdict
                 or report.measured["ball_distance"] > r_a
-                or report.inputs["split_components"] != 0
-                or report.iterations_used != report.inputs["k0"] + 8
+                or report.inputs["correction_terms"] != 1
+                or report.iterations_used != report.inputs["k0"] + 1
                 or report.measured["final_distance"] > 1e-9):
             ok = False
             break
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 10.0
     announce(capsys, 2, ok,
-             f"orbit of length k0+8 from inside each ball lands on the "
+             f"orbit of length k0+1 from inside each ball lands on the "
              f"target within 1e-9 over {trials} random triples; worst "
              f"{worst:.3e} ({elapsed:.2f}s)")
 

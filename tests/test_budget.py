@@ -42,8 +42,9 @@ def _series():
 
 
 def _splice():
-    x = PhasePoint(Strategy(2), [0.0, 0.0])
-    witness_strong_transitivity(x, 0.1, x, SPACE)
+    # the gap (15, 0) at N = 10 needs 2 whole-vector terms
+    witness_strong_transitivity(PhasePoint(Strategy(2), [0.0, 0.0]), 0.1,
+                                PhasePoint(Strategy(2), [15.0, 0.0]), SPACE)
 
 
 def _orbit():

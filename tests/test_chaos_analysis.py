@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import shift_oracle
 from chaosmark import (
@@ -149,13 +151,51 @@ class TestSensitivity:
             check_strategy_bounds(report.constructed_point.strategy, 10.0)
 
 
+def splice_terms(x_a, x_b, depth, bound):
+    """max_k ceil(|gap_k| / N), at least 1, for the gap left after depth."""
+    gap = x_b.media - iterate_g(x_a, depth).media
+    return max(1, math.ceil(float(np.max(np.abs(gap))) / bound))
+
+
+def media_ulps(start, target, bound):
+    """One ulp at the largest media or bound magnitude the splice meets."""
+    return np.spacing(max(np.max(np.abs(start)), np.max(np.abs(target)),
+                          bound))
+
+
+def assert_lands_on(report, x_a, x_b, space):
+    """In the ball, x_b's strategy exactly, its media within n ulps, and
+    the closing term is what the orbit's own sums leave, bit for bit."""
+    depth = report.inputs["matching_depth"]
+    n = report.inputs["correction_terms"]
+    bound = space.bound_n
+    candidate = report.constructed_point
+    assert n == splice_terms(x_a, x_b, depth, bound)
+    assert report.iterations_used == depth + n
+    assert report.measured["ball_distance"] <= report.inputs["r_a"]
+    assert d_phase(x_a, candidate, space) <= report.inputs["r_a"]
+    check_strategy_bounds(candidate.strategy, bound)
+    before = iterate_g(candidate, depth + n - 1)
+    last = candidate.strategy.prefix[depth + n - 1]
+    np.testing.assert_array_equal(
+        last, np.clip(x_b.media - before.media, -bound, bound), strict=True)
+    final = iterate_g(candidate, depth + n)
+    assert final.media.tobytes() == (before.media + last).tobytes()
+    assert final.strategy.prefix.tobytes() == x_b.strategy.prefix.tobytes()
+    assert final.strategy.tail.tobytes() == x_b.strategy.tail.tobytes()
+    error = float(np.max(np.abs(final.media - x_b.media)))
+    start = iterate_g(x_a, depth).media
+    assert error <= n * media_ulps(start, x_b.media, bound)
+    assert report.measured["final_distance"] == error
+
+
 class TestStrongTransitivity:
     def test_rest_to_rest_hits_exactly(self):
         report = witness_strong_transitivity(rest(3), 0.1, rest(3), SPACE3)
         assert report.measured["final_distance"] == 0.0
         assert report.measured["ball_distance"] == 0.0
-        assert report.iterations_used == report.inputs["matching_depth"] + 3
-        assert report.inputs["split_components"] == 0
+        assert report.iterations_used == report.inputs["matching_depth"] + 1
+        assert report.inputs["correction_terms"] == 1
         assert report.verdict
 
     def test_hand_constructed_case_hits_exactly(self):
@@ -168,66 +208,87 @@ class TestStrongTransitivity:
         assert report.inputs["k0"] == 2
         # depth 2 leaves the candidate outside the ball; one bump suffices
         assert report.inputs["matching_depth"] == 3
-        assert report.inputs["correction_terms"] == 2
-        assert report.iterations_used == 5
+        # the gap (1.5, 2.75) is under N = 10: one whole-vector term
+        assert report.inputs["correction_terms"] == 1
+        assert report.iterations_used == 4
+        np.testing.assert_array_equal(
+            report.constructed_point.strategy.prefix[3], [1.5, 2.75])
         assert report.measured["ball_distance"] <= 0.01
         assert report.measured["final_distance"] == 0.0
         assert report.verdict
+        assert_lands_on(report, x_a, x_b, SPACE2)
 
     def test_wide_media_gap_splits_corrections(self):
-        # n equal pieces of a gap sum to within about n ulps of it, so a
-        # far enough target lands outside DEFAULT_TOLERANCE: 3001 pieces
-        # of 30000.7 miss by 1.2e-9 and the verdict fails.
+        # the widest gap sets n for the whole vector; n equal pieces sum to
+        # within n ulps, and the closing term takes back what they drifted
         rng = np.random.default_rng(1)
         x_a10 = random_phase_point(rng, SpaceConfig(nv=10))
         far10 = PhasePoint(Strategy(10), rng.uniform(2990.0, 3000.0, 10))
-        cases = [  # (x_a, x_b, correction terms, split components, verdict)
-            (rest(1), PhasePoint(Strategy(1), [25.0]), 3, 1, True),
-            (x_a10, far10, 3001, 10, True),
-            (rest(1), PhasePoint(Strategy(1), [30000.7]), 3001, 1, False),
+        cases = [  # (x_a, x_b, correction terms)
+            (rest(1), PhasePoint(Strategy(1), [25.0]), 3),
+            (x_a10, far10, None),
+            (rest(1), PhasePoint(Strategy(1), [30000.7]), 3001),
+            (rest(2), PhasePoint(Strategy(2), [30000.7, -0.3]), 3001),
         ]
-        for x_a, x_b, terms, split, verdict in cases:
+        for x_a, x_b, terms in cases:
             space = SpaceConfig(nv=x_a.dim)
             report = witness_strong_transitivity(x_a, 0.5, x_b, space)
-            assert report.inputs["split_components"] == split
-            assert report.inputs["correction_terms"] == terms
-            final = iterate_g(report.constructed_point, report.iterations_used)
-            assert d_strategy(final.strategy, x_b.strategy, space) == 0.0
-            media_error = report.measured["final_distance"]
-            assert media_error <= terms * np.spacing(np.max(np.abs(x_b.media)))
-            assert (media_error <= DEFAULT_TOLERANCE) is verdict
-            assert report.verdict is verdict
-            check_strategy_bounds(report.constructed_point.strategy, 10.0)
+            if terms is not None:
+                assert report.inputs["correction_terms"] == terms
+            assert_lands_on(report, x_a, x_b, space)
+            assert report.measured["final_distance"] <= DEFAULT_TOLERANCE
+            assert report.verdict
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             witness_strong_transitivity(rest(2), 0.1, rest(3), SPACE2)
 
     def test_correction_budget_is_checked_before_building(self, monkeypatch):
-        # gaps 25 and 0 at N = 10 need 3 + 1 correction terms
+        # the gap (25, 0) at N = 10 needs 3 whole-vector terms
         x_b = PhasePoint(Strategy(2), [25.0, 0.0])
-        monkeypatch.setattr(budget, "MAX_CORRECTION_TERMS", 4)
-        report = witness_strong_transitivity(rest(2), 0.5, x_b, SPACE2)
-        assert report.inputs["correction_terms"] == 4
-
-        def unbuilt(*args):
-            raise AssertionError("a correction term was built")
-
-        # np.repeat lays out the corrections, and nothing before it calls it
-        monkeypatch.setattr(chaos_analysis.np, "repeat", unbuilt)
         monkeypatch.setattr(budget, "MAX_CORRECTION_TERMS", 3)
+        report = witness_strong_transitivity(rest(2), 0.5, x_b, SPACE2)
+        assert report.inputs["correction_terms"] == 3
+
+        class Unbuilt:
+            """chaos_analysis's numpy, except that building terms fails."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def empty(*args, **kwargs):
+                raise AssertionError("a correction term was built")
+
+        # _closing_terms lays its terms out with np.empty, and nothing
+        # else in chaos_analysis calls it
+        monkeypatch.setattr(chaos_analysis, "np", Unbuilt())
+        with pytest.raises(AssertionError, match="a correction term was built"):
+            witness_strong_transitivity(rest(2), 0.5, x_b, SPACE2)
+        monkeypatch.setattr(budget, "MAX_CORRECTION_TERMS", 2)
         with pytest.raises(BudgetExceeded,
-                           match=r"needs 4 correction terms.*MAX_CORRECTION_TERMS=3"):
+                           match=r"needs 3 correction terms.*MAX_CORRECTION_TERMS=2"):
             witness_strong_transitivity(rest(2), 0.5, x_b, SPACE2)
 
+    @pytest.mark.parametrize("gap,bound", [(1.0, 5e-324), (1e300, 1e-20)])
+    def test_count_is_charged_before_an_int_is_taken(self, gap, bound):
+        # |gap| / N overflows to inf: the budget refuses it, where
+        # int(inf) would raise OverflowError
+        x_b = PhasePoint(Strategy(2), [gap, 0.0])
+        with pytest.raises(BudgetExceeded, match=r"needs inf correction terms"):
+            witness_strong_transitivity(rest(2), 0.5, x_b,
+                                        SpaceConfig(nv=2, bound_n=bound))
+
     def test_splice_at_the_correction_budget_fits_the_series_budget(self):
-        # a gap of 99995 at N = 10 takes exactly MAX_CORRECTION_TERMS
-        # pieces, so the ball distance sums a series of about 10^4 terms
-        x_b = PhasePoint(Strategy(1), [99995.0])
-        space = SpaceConfig(nv=1)
-        report = witness_strong_transitivity(rest(1), 1e-12, x_b, space)
+        # the widest gap, 99995 at N = 10, takes exactly MAX_CORRECTION_TERMS
+        # whole-vector terms, which carry the narrow one along; the ball
+        # distance sums a series of about 10^4 terms
+        x_b = PhasePoint(Strategy(2), [99995.0, -7.0])
+        report = witness_strong_transitivity(rest(2), 1e-12, x_b, SPACE2)
         assert report.inputs["correction_terms"] == 10000
         assert report.measured["ball_distance"] <= 1e-12
+        assert_lands_on(report, rest(2), x_b, SPACE2)
+        assert report.verdict
 
     @pytest.mark.parametrize("media_a,media_b", [
         ([0.0, 0.0], [1e300, 0.0]),
@@ -246,12 +307,44 @@ class TestStrongTransitivity:
             x_a = bounded_random_point(rng, 4)
             x_b = bounded_random_point(rng, 4)
             r_a = 10.0 ** rng.uniform(-2, 0)
-            report = witness_strong_transitivity(x_a, r_a, x_b,
-                                                 SpaceConfig(nv=4))
-            assert report.measured["ball_distance"] <= r_a
+            space = SpaceConfig(nv=4)
+            report = witness_strong_transitivity(x_a, r_a, x_b, space)
+            # every gap is under N, so one whole-vector term closes it
+            assert report.inputs["correction_terms"] == 1
+            assert_lands_on(report, x_a, x_b, space)
             assert report.measured["final_distance"] <= 1e-9
-            assert report.inputs["split_components"] == 0
             assert report.verdict
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_splice_lands_on_any_target(self, data):
+        nv = data.draw(st.integers(1, 64), label="nv")
+        bound = data.draw(st.sampled_from([1.0, 10.0, 1e3]) | st.floats(1.0, 1e3),
+                          label="bound")
+        space = SpaceConfig(nv=nv, bound_n=bound)
+        media = hnp.arrays(np.float64, nv, elements=st.one_of(
+            st.floats(-1e5, 1e5), st.sampled_from([0.0, -0.0, bound, -bound])))
+        term = hnp.arrays(np.float64, nv, elements=st.floats(-bound, bound))
+
+        def point(label):
+            prefix = data.draw(st.lists(term, max_size=3), label=f"{label} prefix")
+            tail = data.draw(st.lists(term, max_size=2), label=f"{label} tail")
+            return PhasePoint(Strategy(nv, prefix, tail),
+                              data.draw(media, label=f"{label} media"))
+
+        x_a, x_b = point("x_a"), point("x_b")
+        r_a = data.draw(st.sampled_from([1.0, 0.1, 1e-3, 1e-9]), label="r_a")
+        k0 = ball_index(r_a)
+        try:
+            report = witness_strong_transitivity(x_a, r_a, x_b, space)
+        except BudgetExceeded:
+            # refused only for a splice over the budget, at k0 or deeper
+            assert any(splice_terms(x_a, x_b, depth, bound)
+                       > budget.MAX_CORRECTION_TERMS
+                       for depth in range(k0, k0 + 3))
+            return
+        assert_lands_on(report, x_a, x_b, space)
 
 
 class TestRegularity:

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaosmark import (SchemeConfig, budget, chaos_analysis, cli, fileio,
-                       generate_carriers, modulation)
+from chaosmark import (PhasePoint, SchemeConfig, Strategy, budget,
+                       chaos_analysis, cli, fileio, generate_carriers,
+                       modulation)
 from chaosmark.cli import EXIT_FALSE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from csv_oracle import read_vector_csv
 from pgm_oracle import read_vector_pgm
@@ -117,7 +118,7 @@ class TestEmbedDecode:
               "--message", "1011", "--gamma", "6.0", "--key", "9",
               "--out", str(stego)])
         meta = json.loads((tmp_path / "stego.json.meta.json").read_text())
-        assert meta["schema"] == "chaosmark/4"
+        assert meta["schema"] == "chaosmark/5"
         assert meta["config"]["key_fingerprint"] == fileio.key_fingerprint(9)
         assert "key" not in meta["config"]
         assert meta["distortion_inf"] > 0.0
@@ -312,17 +313,17 @@ class TestExitCodes:
 
     def test_transitivity_over_budget_is_usage_error(self, capsys,
                                                       monkeypatch):
-        # every one of the 10001 media components needs a correction term,
-        # so the splice is refused before a start point is drawn
-        def undrawn(*args):
-            raise AssertionError("a start point was drawn")
-
-        monkeypatch.setattr(cli, "random_phase_point", undrawn)
-        assert main(["analyze", "transitivity", "--nv", "10001",
+        # start points whose media differ by 1 at --bound-n 5e-324 need
+        # 1 / 5e-324 = inf terms: the float count is refused, not int(inf)
+        ends = iter([PhasePoint(Strategy(8), np.zeros(8)),
+                     PhasePoint(Strategy(8), np.ones(8))])
+        monkeypatch.setattr(cli, "random_phase_point",
+                            lambda rng, space: next(ends))
+        assert main(["analyze", "transitivity", "--bound-n", "5e-324",
                      "--r-a", "0.01"]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error: the transitivity splice needs ")
-        assert err.endswith("more than MAX_CORRECTION_TERMS=10000\n")
+        assert capsys.readouterr().err == (
+            "error: the splice needs inf correction terms, more than "
+            f"MAX_CORRECTION_TERMS={budget.MAX_CORRECTION_TERMS}\n")
 
     @pytest.mark.parametrize("argv,work", [
         (["scan", "--r", "0.01", "--trials", "500", "--n-max", "250"], 1049000),
@@ -351,6 +352,15 @@ class TestExitCodes:
         assert err.endswith(f"needs {work} step-components, "
                             "more than MAX_ORBIT_WORK=1000000\n")
 
+    def test_empty_out_of_memory_says_so(self, capsys, monkeypatch):
+        # Python's own allocations raise MemoryError() with no text
+        def refused(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "random_phase_point", refused)
+        assert main(["analyze", "transitivity", "--r-a", "0.1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: out of memory\n"
+
     def test_out_of_memory_is_usage_error(self, capsys, monkeypatch):
         def refused(*args):
             raise MemoryError("Unable to allocate 7.45 GiB for an array with "
@@ -373,23 +383,20 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "random_phase_point", undrawn)
         assert main(["analyze", *argv, "--nv", str(10**9)]) == EXIT_USAGE
-        if argv[0] == "transitivity":
-            # a splice needs a correction term per component, charged first
-            want = (f"the transitivity splice needs at least {10**9} "
-                    f"correction terms, more than MAX_CORRECTION_TERMS="
-                    f"{budget.MAX_CORRECTION_TERMS}")
-        else:
-            want = (f"a start point of --nv {10**9} components, more than "
-                    f"MAX_MEDIA_COMPONENTS={budget.MAX_MEDIA_COMPONENTS}")
-        assert capsys.readouterr().err == f"error: {want}\n"
+        assert capsys.readouterr().err == (
+            f"error: a start point of --nv {10**9} components, more than "
+            f"MAX_MEDIA_COMPONENTS={budget.MAX_MEDIA_COMPONENTS}\n")
 
     @pytest.mark.parametrize("argv,want", [
         *[([*argv, "--tolerance", "-1"],
            "tolerance must be non-negative, got -1.0")
           for argv in (["sensitivity", "--r", "0.1"],
                        ["transitivity", "--r-a", "0.1"],
-                       ["regularity", "--eps", "0.1"], ["continuity"],
-                       ["scan", "--r", "0.1"], ["trace"])],
+                       ["regularity", "--eps", "0.1"], ["continuity"])],
+        # scan and trace take no --tolerance; their own checks come first
+        (["scan", "--r", "0.1", "--n-max", "-1"],
+         "n_max must be a non-negative integer, got -1"),
+        (["trace", "--r", "0"], "radius must be positive and finite, got 0.0"),
         # --trials 0: test_scan_trials_are_checked_before_a_point_is_drawn
         (["scan", "--r", "0.1", "--trials", "1", "--n-max", "1000000"],
          "an orbit walk of 1000001 steps at nv 8 and a setup of "
@@ -498,8 +505,8 @@ class TestExitCodes:
                        "got -3\n")
 
     @pytest.mark.parametrize("argv", [
-        ["scan", "--r", "0.1", "--trials", "2"],
-        ["trace"],
+        ["sensitivity", "--r", "0.1"],
+        ["expansivity", "--eps", "0.5"],
     ])
     @pytest.mark.parametrize("tolerance", ["nan", "-1"])
     def test_bad_tolerance_is_usage_error(self, argv, tolerance, capsys):
@@ -507,6 +514,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: tolerance must be non-negative")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["scan", "--r", "0.1"], ["trace"]])
+    def test_scan_and_trace_take_no_tolerance(self, argv, capsys):
+        # neither has a verdict, so neither reads or records a tolerance
+        assert main(["analyze", *argv, "--tolerance", "0"]) == EXIT_USAGE
+        assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+        assert "tolerance" not in vars(cli.build_parser().parse_args(
+            ["analyze", *argv]))
 
     @pytest.mark.parametrize("argv", [
         ["sensitivity", "--r", "0.1"],
@@ -609,13 +624,18 @@ class TestExitCodes:
             "error: no usable scales: every perturbation left the bound\n")
 
     def test_false_verdict_maps_to_one(self, tmp_path):
-        # at tolerance 0 the exact hit's rounding residue fails the verdict
+        # at tolerance 0 seed 2's rounding residue fails the verdict;
+        # seed 0's splice lands exactly and passes
         out = tmp_path / "r.json"
-        assert main(["analyze", "transitivity", "--r-a", "0.01", "--seed", "0",
-                     "--tolerance", "0", "--out", str(out)]) == EXIT_FALSE
+        argv = ["analyze", "transitivity", "--r-a", "0.01", "--tolerance", "0",
+                "--out", str(out)]
+        assert main([*argv, "--seed", "2"]) == EXIT_FALSE
         report = json.loads(out.read_text())["report"]
         assert report["verdict"] is False
         assert 0.0 < report["measured"]["final_distance"] < 1e-12
+        assert main([*argv, "--seed", "0"]) == EXIT_OK
+        report = json.loads(out.read_text())["report"]
+        assert report["measured"]["final_distance"] == 0.0
 
     @pytest.mark.parametrize("message", ["0101", "0x1"])
     @pytest.mark.parametrize("nc", ["0", "-3"])
@@ -738,7 +758,7 @@ class TestAnalyze:
                      "--format", "csv"])
         assert code == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "# chaosmark/4"
+        assert lines[0] == "# chaosmark/5"
         assert "step,d_phase,d_inf_media" in lines
         assert len([ln for ln in lines if not ln.startswith("#")]) == 6
 

@@ -306,7 +306,7 @@ def small_orbit_budget():
 
 @CASES
 @given(argv=hostile_options(r=REALS, trials=COUNTS, n_max=COUNTS, nv=NVS,
-                            bound_n=REALS, seed=SEEDS, tolerance=TOLERANCES))
+                            bound_n=REALS, seed=SEEDS))
 def test_analyze_scan_survives_hostile_options(small_orbit_budget, argv):
     # the default 500 trials pass no budget this small; a later option wins
     run_cli(["analyze", "scan", "--r=0.01", "--trials=20", *argv])
