@@ -450,6 +450,17 @@ def _perturbed(x: PhasePoint, s: float) -> PhasePoint:
     return PhasePoint(x.strategy.with_term(0, term), media)
 
 
+def _require_scales(scales) -> list[float]:
+    """scales as floats, which must be positive, finite and strictly
+    decreasing."""
+    scales = [float(s) for s in scales]
+    if not scales or any(not (math.isfinite(s) and s > 0.0) for s in scales):
+        raise ValueError("scales must be positive finite reals")
+    if any(b >= a for a, b in zip(scales, scales[1:])):
+        raise ValueError("scales must be strictly decreasing")
+    return scales
+
+
 def witness_continuity(x: PhasePoint, scales, space: SpaceConfig,
                        tolerance: float = DEFAULT_TOLERANCE,
                        ) -> tuple[WitnessReport, OrbitTrace]:
@@ -465,12 +476,7 @@ def witness_continuity(x: PhasePoint, scales, space: SpaceConfig,
     distances do not increase as the scales shrink.
     """
     tolerance = _require_tolerance(tolerance)
-    scales = [float(s) for s in scales]
-    if not scales or any(not (math.isfinite(s) and s > 0.0) for s in scales):
-        raise ValueError("scales must be positive finite reals")
-    if any(b >= a for a, b in zip(scales, scales[1:])):
-        raise ValueError("scales must be strictly decreasing")
-
+    scales = _require_scales(scales)
     head = float(x.strategy.term(0)[0])
     used = [s for s in scales if abs(head + s) <= space.bound_n]
     skipped = [s for s in scales if abs(head + s) > space.bound_n]

@@ -31,6 +31,7 @@ from .chaos_analysis import (
     DEFAULT_TOLERANCE,
     _require_eps,
     _require_orbit_budget,
+    _require_scales,
     _require_scan,
     _require_tolerance,
     _sensitivity_point,
@@ -160,7 +161,8 @@ def _cmd_decode(args) -> int:
 # of start points; it returns its own config keys and its report body.
 # expansivity draws no point, so it never seeds a generator.  Every
 # report but scan's and trace's echoes --tolerance, so _cmd_analyze
-# checks it before any runs.
+# checks it before any runs; each analysis checks its own values before
+# its first draw.
 
 def _start_points(seed: int, space: SpaceConfig):
     """Random start points, drawn on demand from default_rng(seed).  The
@@ -174,11 +176,13 @@ def _start_points(seed: int, space: SpaceConfig):
 
 
 def _sensitivity(args, space, seed, points):
+    ball_index(args.r)
     report = witness_sensitivity(next(points), args.r, space, args.tolerance)
     return {"r": args.r}, {"report": report.to_dict()}
 
 
 def _transitivity(args, space, seed, points):
+    ball_index(args.r_a)
     x_a, x_b = next(points), next(points)
     report = witness_strong_transitivity(x_a, args.r_a, x_b, space,
                                          args.tolerance)
@@ -186,6 +190,7 @@ def _transitivity(args, space, seed, points):
 
 
 def _regularity(args, space, seed, points):
+    _require_eps(args.eps)
     report = witness_regularity(next(points), args.eps, space, args.tolerance)
     return {"eps": args.eps}, {"report": report.to_dict()}
 
@@ -201,7 +206,7 @@ def _expansivity(args, space, seed, points):
 
 
 def _continuity(args, space, seed, points):
-    scales = [float(s) for s in args.scales.split(",") if s.strip()]
+    scales = _require_scales(s for s in args.scales.split(",") if s.strip())
     x = next(points)
     report, trace = witness_continuity(x, scales, space, args.tolerance)
     return {"scales": scales}, {"report": report.to_dict(),
@@ -210,6 +215,7 @@ def _continuity(args, space, seed, points):
 
 def _scan(args, space, seed, points):
     _require_scan(args.trials, args.n_max, space.nv)
+    ball_index(args.r)
     x = next(points)
     value = empirical_sensitivity_scan(x, args.r, args.trials, args.n_max,
                                        seed, space)

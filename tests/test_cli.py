@@ -16,6 +16,7 @@ from chaosmark import (PhasePoint, SchemeConfig, Strategy, budget,
                        modulation)
 from chaosmark.cli import EXIT_FALSE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from csv_oracle import read_vector_csv
+from json_oracle import read_vector_json
 from pgm_oracle import read_vector_pgm
 
 MACHINE_TEXT = """\
@@ -30,16 +31,64 @@ scan # -> accept 1 R
 
 
 # CSV lines: numbers in every spelling float() takes, blank and
-# whitespace-only lines, text it refuses, and non-finite values; breaks
-# that splitlines() splits on, and a space, which it does not.
+# whitespace-only lines, text it refuses, and non-finite values; JSON
+# values orjson reads as ints (-0 among them) or as no number, two on a
+# line, and doubles past either end; breaks that splitlines() splits
+# on, and a space, which it does not.
 CSV_LINES = st.sampled_from([
     "1.5", "-0.0", "5e-324", "1e16", "1_0", "+1", " 2.5\t", "\xa03\xa0",
     "\u0661\u0662", "\uff13.5", "nan", "-inf", "Infinity", "", " ", "\t",
-    "\x1f4", "zzz", "1__0", "_1", "0x10", "1.5.1"])
+    "\x1f4", "zzz", "1__0", "_1", "0x10", "1.5.1", "-0", "0", "12", "1,2",
+    "[1.0]", "true", '"1"', "01", "1e400", "1e-400", "1" * 30])
 CSV_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", " ",
                               "\x1c", "\x85", "\u2028"])
-CSV_TEXT = st.lists(st.tuples(CSV_LINES, CSV_BREAKS), max_size=8).map(
-    lambda pairs: "".join(line + brk for line, brk in pairs))
+# Files orjson reads whole, a number a line with \n or \r\n breaks, and
+# some whose one odd line sends them back to float().
+CSV_NUMBERS = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+               | st.sampled_from(["-0", "-0.0", "5e-324", "1e-400", "1" * 30,
+                                  "1,2"]))
+CSV_TEXT = st.one_of(
+    st.lists(st.tuples(CSV_LINES, CSV_BREAKS), max_size=8),
+    st.lists(st.tuples(CSV_NUMBERS, st.sampled_from(["\n", "\r\n"])),
+             min_size=1, max_size=8),
+).map(lambda pairs: "".join(line + brk for line, brk in pairs))
+
+# JSON vector files: entries as json writes them, ints of every width,
+# and spellings where orjson and json part (-0, ints of 64 bits and
+# more, doubles past either end, NaN, Infinity, no number at all); an
+# "nv" that is right, wrong, 2^64, a float, a bool or a string; then
+# duplicate keys, lone surrogates escaped and raw (not UTF-8), nested
+# lists, nesting that orjson reads and json refuses, nesting deeper than
+# either parser goes, a BOM, an object in a list, and trailing
+# whitespace.
+JSON_FLOATS = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+               | st.floats(allow_nan=False, allow_infinity=False).map(
+                   "%.17e".__mod__))
+JSON_ENTRIES = (
+    JSON_FLOATS
+    | st.integers(-2**70, 2**70).map(str)
+    | st.sampled_from([
+        "-0", "-0.0", "0", "5e-324", "1e-400", "-1e-400", str(2**63),
+        str(2**64), str(-2**63 - 1), "1" * 30, "1" + "0" * 400, "1e400",
+        "NaN", "-Infinity", "true", "null", '"1"', "[1.0]", "[[1.0]]"]))
+JSON_LAYOUTS = (
+    "{%s}", '{"data": [], "nv": 0, %s}', '{%s, "data": [2.5]}',
+    '{%s, "s": "\\ud800"}', '{%s, "s": "\ud800"}',
+    '{%s, "x": [[1.0], [[2.0]]]}',
+    *('{%s, "x": ' + "[" * depth + "]" * depth + "}" for depth in (1000, 2000)),
+    "\ufeff{%s}", "[{%s}]")
+
+
+@st.composite
+def json_vector_text(draw) -> str:
+    entries = draw(st.lists(JSON_ENTRIES, max_size=6)
+                   | st.lists(JSON_FLOATS, min_size=1, max_size=6))
+    n = len(entries)
+    nv = draw(st.sampled_from([str(n)] * 4 + [str(n + 1), str(2**64),
+                                              f"{n}.0", "true", f'"{n}"']))
+    body = f'"nv": {nv}, "data": [{", ".join(entries)}]'
+    return (draw(st.sampled_from(JSON_LAYOUTS)) % body
+            + draw(st.sampled_from(["", "\n", " \r\n\t", "\n\n"])))
 
 
 # PGM separators: every byte bytes.isspace() accepts, and CRLF.
@@ -52,9 +101,9 @@ def pgm_blob(rng) -> bytes:
     def pick(options):
         return options[int(rng.integers(len(options)))]
 
-    def sep():
+    def sep(comments=True):
         out = b"".join(pick(PGM_SPACES) for _ in range(rng.integers(1, 3)))
-        if rng.random() < 0.3:
+        if comments and rng.random() < 0.3:
             out += pick(PGM_COMMENTS) + pick((b"\n", b"\r\n", b"\r", b""))
         return out
 
@@ -79,10 +128,13 @@ def pgm_blob(rng) -> bytes:
         size = count * (2 if maxval > 255 else 1) + int(rng.integers(-1, 2))
         blob += rng.bytes(max(size, 0))
     else:
-        blob += head[3] + sep()
+        comments = rng.random() < 0.5  # in the body after the header
+        blob += head[3] + sep(comments)
         samples = max(count + int(rng.integers(-1, 2)), 0)
         for v in rng.integers(-1, maxval + 2, samples):
-            blob += pick((str(v).encode(),) * 8 + (b"1#2", b"z")) + sep()
+            blob += pick((str(v).encode(),) * 8
+                         + (b"%03d" % v, b"+%d" % v, b"-0", b"1#2", b"z")
+                         ) + sep(comments)
     if rng.random() < 0.2:
         blob = blob[:int(rng.integers(0, len(blob) + 1))]
     return blob
@@ -403,8 +455,15 @@ class TestExitCodes:
          f"{chaos_analysis._TRIAL_SETUP} per trial needs "
          f"{8000008 + chaos_analysis._TRIAL_SETUP} step-components, more "
          f"than MAX_ORBIT_WORK={budget.MAX_ORBIT_WORK}"),
+        # each analysis's own values
+        *[(argv, "radius must be positive and finite, got 0.0")
+          for argv in (["sensitivity", "--r", "0"],
+                       ["transitivity", "--r-a", "0"], ["scan", "--r", "0"])],
+        (["regularity", "--eps", "0"], "eps must be positive and finite, got 0.0"),
+        (["continuity", "--scales", "0"], "scales must be positive finite reals"),
     ], ids=["sensitivity", "transitivity", "regularity", "continuity", "scan",
-            "trace", "scan-n-max"])
+            "trace", "scan-n-max", "sensitivity-r", "transitivity-r-a",
+            "scan-r", "regularity-eps", "continuity-scales"])
     def test_every_check_comes_before_a_draw(self, argv, want, capsys,
                                              monkeypatch):
         def undrawn(*args):
@@ -1005,6 +1064,7 @@ class TestFileio:
             path = tmp_path / f"v{suffix}"
             fileio.write_vector(path, vec)
             assert path.read_bytes() == text.encode("utf-8")
+            assert fileio.read_vector(path).tobytes() == vec.tobytes()
 
     def test_vector_json_entries_are_numbers_not_booleans(self, tmp_path):
         path = tmp_path / "v.json"
@@ -1101,6 +1161,44 @@ class TestFileio:
         path.write_text(text, encoding="utf-8")
         assert (self._outcome(fileio.read_vector, path)
                 == self._outcome(read_vector_csv, path)), text
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(json_vector_text())
+    def test_json_reader_matches_the_json_loads_oracle(self, tmp_path_factory,
+                                                       text):
+        path = tmp_path_factory.mktemp("json") / "v.json"
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        assert (self._outcome(fileio.read_vector, path)
+                == self._outcome(read_vector_json, path)), text
+
+    def test_plain_vector_files_are_read_in_one_orjson_call(self, tmp_path,
+                                                            monkeypatch):
+        """write_vector's files and a P2 file without comments never
+        reach the text path or the token regex; a -0 line does, and
+        keeps its sign."""
+        class FindallFree:
+            match = fileio._PGM_TOKEN.match
+
+            def findall(self, *args):
+                raise AssertionError("the P2 token regex ran")
+
+        vec = np.array(self.EDGE_FLOATS)
+        for suffix in (".json", ".csv"):
+            fileio.write_vector(tmp_path / f"v{suffix}", vec)
+        (tmp_path / "v.pgm").write_bytes(b"P2 # 3 x 1\n3 1 65535\n0 -0\t65535\n")
+        (tmp_path / "z.csv").write_bytes(b"1.5\n-0\n")
+        with monkeypatch.context() as patch:
+            patch.setattr(fileio, "read_text", None)
+            patch.setattr(fileio, "_PGM_TOKEN", FindallFree())
+            for suffix in (".json", ".csv"):
+                got = fileio.read_vector(tmp_path / f"v{suffix}")
+                assert got.tobytes() == vec.tobytes()
+            assert fileio.read_vector(tmp_path / "v.pgm").tolist() == [
+                0.0, 0.0, 65535.0]
+            with pytest.raises(TypeError):
+                fileio.read_vector(tmp_path / "z.csv")
+        assert fileio.read_vector(tmp_path / "z.csv").tobytes() == np.array(
+            [1.5, -0.0]).tobytes()
 
     @pytest.mark.parametrize("text, want", [
         ("", ": no values found"),

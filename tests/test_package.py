@@ -54,8 +54,8 @@ def _module_level_imports(tree):
 
 
 def test_no_module_imports_orjson_or_hashlib_at_module_level():
-    """Only a vector write needs orjson and only a key fingerprint needs
-    hashlib, so tm and analyze runs must start without loading them."""
+    """Only a vector read or write needs orjson and only a key fingerprint
+    needs hashlib, so tm and analyze runs must start without loading them."""
     for path in sorted(Path(chaosmark.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         eager = _module_level_imports(tree) & {"orjson", "hashlib"}
