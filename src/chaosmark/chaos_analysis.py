@@ -480,11 +480,10 @@ def witness_continuity(x: PhasePoint, scales, space: SpaceConfig,
     head = float(x.strategy.term(0)[0])
     used = [s for s in scales if abs(head + s) <= space.bound_n]
     skipped = [s for s in scales if abs(head + s) > space.bound_n]
-    perturbed = [_perturbed(x, s) for s in used]
-    if perturbed:
-        walk, media = _orbit_distances(x, perturbed, 1, space)
-    if not perturbed:
+    if not used:
         raise ValueError("no usable scales: every perturbation left the bound")
+    perturbed = [_perturbed(x, s) for s in used]
+    walk, media = _orbit_distances(x, perturbed, 1, space)
     input_d, image_d = walk.tolist()
     rows = _frozen(np.column_stack([np.arange(len(used)), walk[1], media[1]]))
     ratio_ok = all(img <= 2.0 * inp + tolerance

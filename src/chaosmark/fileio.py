@@ -23,12 +23,12 @@ required dependency, writes the same digits about five times faster
 (0.12 against 0.63 ms for 1024 floats on the same VM), and _floats
 lets repr redo only what orjson lays out differently.
 
-A vector file is read the same way: its numbers go through one
-orjson.loads call, 0.1 ms for 1024 floats against 0.35 ms through
-json.loads or float() a line.  What orjson refuses or could read
-otherwise (NaN, an int entry, -0 in a CSV line, 007 in a P2 body, a
-comment, float()'s wider grammar) takes the json, float() or regex path,
-so each value and each error text is that path's.
+A vector file is read the same way: its numbers, ints and floats
+alike, go through one orjson.loads call, 0.1 ms for 1024 of them against
+0.2-0.35 ms through json.loads or float() a line.  What orjson refuses
+or could read otherwise (NaN, nesting, an "nv" past 64 bits, -0 in a CSV
+line, 007 in a P2 body, a comment, float()'s wider grammar) takes the
+json, float() or regex path, whose values and error texts these are.
 
 The vector readers, _floats and key_fingerprint import orjson and
 hashlib themselves, which spares tm and analyze a tenth of the CLI's
@@ -152,18 +152,15 @@ def _read_vector_json(path: Path) -> list:
     # orjson reads what json reads, but refuses NaN, Infinity, lone
     # surrogates and numbers past the largest double, and makes ints past
     # 64 bits floats (as_vector's doubles, but an "nv" json reads as an
-    # int).  One [ and one { keep the depth at 2, inside json's recursion
-    # limit, which follows the caller's stack.  Any other payload, or an
-    # int entry, takes json's path, so each error keeps its text.
-    if (type(payload) is dict and type(payload.get("nv")) is int
-            and type(data := payload.get("data")) is list
-            and payload["nv"] == len(data) and set(map(type, data)) <= {float}
-            and blob.count(b"[") == blob.count(b"{") == 1):
-        return data
-    try:
-        payload = json.loads(read_text(path))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    # int).  A second [ or { may nest past json's recursion limit, which
+    # follows the caller's stack.  json reads those files, so each value
+    # and each error text is its own.
+    if (payload is None or blob.count(b"[") > 1 or blob.count(b"{") > 1
+            or type(payload) is dict and type(payload.get("nv")) is float):
+        try:
+            payload = json.loads(read_text(path))
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "nv" not in payload or "data" not in payload:
         raise FormatError(f'{path}: expected an object with "nv" and "data"')
     data = payload["data"]
@@ -178,39 +175,38 @@ def _read_vector_json(path: Path) -> list:
     return data
 
 
-def _json_list(items: bytes, size: int, kind: type) -> list | None:
-    """orjson's reading of b"[" + items + b"]" if it is size values, each
-    of type kind; None if it is not, or orjson refuses the text."""
+def _json_list(items: bytes, size: int) -> list | None:
+    """orjson's reading of b"[" + items + b"]" if it is size values; None
+    if it is not, or orjson refuses the text."""
     import orjson
     try:
         values = orjson.loads(b"[" + items + b"]")
     except orjson.JSONDecodeError:
         return None
-    return values if len(values) == size and set(map(type, values)) <= {kind} else None
+    return values if len(values) == size else None
 
 
 def _read_vector_csv(path: Path) -> list[float]:
-    # One float a line reads as float() reads it: orjson refuses a blank
-    # line and every break but \n and \r\n, a line of two values is
-    # counted, and -0, which float() makes -0.0, is an int to orjson.
+    # One number a line reads as float() reads it: orjson refuses a blank
+    # line and every break but \n and \r\n, and a line of two values is
+    # counted.  Its ints are float()'s values but for -0, the int 0 to
+    # orjson and -0.0 to float(): a -0 with no fraction or exponent.
     body = path.read_bytes().rstrip(b"\n")
-    values = _json_list(body.replace(b"\n", b","), body.count(b"\n") + 1, float)
+    values = _json_list(body.replace(b"\n", b","), body.count(b"\n") + 1)
     if values is not None:
-        return values
-    lines = read_text(path).splitlines()
-    try:
-        values = list(map(float, lines))  # float() strips as strip() does
-    except ValueError:  # a blank or a bad line, which the loop skips or names
-        values = []
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                values.append(float(line))
-            except ValueError as exc:
-                raise FormatError(
-                    f"{path}:{lineno}: not a number: {line!r}") from exc
+        kinds = set(map(type, values))
+        if kinds <= {float} or (kinds <= {int, float}
+                                and not re.search(rb"-0(?![.eE])", body)):
+            return values
+    values = []
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+        line = raw.strip()  # as float() strips
+        if not line:
+            continue
+        try:
+            values.append(float(line))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: not a number: {line!r}") from exc
     if not values:
         raise FormatError(f"{path}: no values found")
     return values
@@ -245,8 +241,8 @@ def _read_vector_pgm(path: Path) -> np.ndarray:
         # as int() does; it refuses 007 and +3, and makes ints past 64
         # bits floats, which the regex path reads or refuses.
         tokens = blob[pos:].split()[:count]
-        samples = _json_list(b",".join(tokens), len(tokens), int)
-        if samples is None:
+        samples = _json_list(b",".join(tokens), len(tokens))
+        if samples is None or not set(map(type, samples)) <= {int}:
             # only the match at the end of the blob has an empty token
             tokens = _PGM_TOKEN.findall(blob, pos)[:count]
             try:
@@ -279,7 +275,7 @@ def parse_message_text(text: str, nc: int | None) -> np.ndarray:
     Accepts a bit string ("0101" or "0b0101", of length nc; with nc None
     its length is the width) or hex ("0x2a"), whose integer value is
     rendered MSB-first into nc bits and must fit.  An nc below 1, or hex
-    without nc, raises ValueError; an nc over MAX_MESSAGE_BITS,
+    without nc, raises ValueError; a width over MAX_MESSAGE_BITS,
     BudgetExceeded; a malformed literal, FormatError.
     """
     if nc is not None and nc < 1:
@@ -303,6 +299,8 @@ def parse_message_text(text: str, nc: int | None) -> np.ndarray:
         return _frozen(np.unpackbits(raw)[-nc:].copy())
     if text.lower().startswith("0b"):
         text = text[2:]
+    if nc is None:
+        budget.charge("MAX_MESSAGE_BITS", len(text), f"a message of {len(text)} bits")
     if not text or set(text) - {"0", "1"}:
         raise FormatError(
             "message must be a bit string (optionally 0b-prefixed) or 0x-prefixed hex")
@@ -443,7 +441,7 @@ def render_kv_csv(payload: dict) -> str:
     _flatten("", payload, rows)
     out = ["key,value"]
     for key, cell in rows:
-        if "," in cell or '"' in cell or "\n" in cell:
+        if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
             cell = '"' + cell.replace('"', '""') + '"'
         out.append(f"{key},{cell}")
     return "\n".join(out) + "\n"

@@ -1,10 +1,12 @@
 """Line-loop reference for the CSV vector reader.
 
 ``read_vector_csv`` strips each line, skips blank ones and converts the
-rest one at a time, as the package's reader did before it converted the
-whole file with one ``map(float, ...)`` call and kept the loop for files
-that call refuses.  ``read_vector`` on a .csv path must return the same
-array bit for bit, or raise ``FormatError`` with the same message.
+rest one at a time.  The package's reader parses the whole file with one
+``orjson.loads`` call and runs this loop, with no other float() pass,
+only for files that call refuses or could read differently (a blank
+line, ``-0`` as an integer, float()'s wider grammar).  ``read_vector``
+on a .csv path must return the same array bit for bit, or raise
+``FormatError`` with the same message.
 """
 
 from chaosmark.fileio import FormatError, read_text

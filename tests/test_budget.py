@@ -64,6 +64,10 @@ def _message():
     parse_message_text("0x1", 2)
 
 
+def _bit_string():
+    parse_message_text("0b11", None)
+
+
 def _carriers():
     generate_carriers(SchemeConfig(nv=2, nc=2))
 
@@ -81,6 +85,7 @@ def _media():
     ("MAX_TM_STEPS", _steps),
     ("MAX_TAPE_CELLS", _tape),
     ("MAX_MESSAGE_BITS", _message),
+    ("MAX_MESSAGE_BITS", _bit_string),
     ("MAX_CARRIER_COMPONENTS", _carriers),
     ("MAX_MEDIA_COMPONENTS", _media),
 ])

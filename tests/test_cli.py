@@ -1173,8 +1173,9 @@ class TestFileio:
 
     def test_plain_vector_files_are_read_in_one_orjson_call(self, tmp_path,
                                                             monkeypatch):
-        """write_vector's files and a P2 file without comments never
-        reach the text path or the token regex; a -0 line does, and
+        """write_vector's files, int-spelled .json and .csv files (0
+        included) and a P2 file without comments never reach the text
+        path or the token regex; a CSV with a -0 int line does, and
         keeps its sign."""
         class FindallFree:
             match = fileio._PGM_TOKEN.match
@@ -1186,19 +1187,32 @@ class TestFileio:
         for suffix in (".json", ".csv"):
             fileio.write_vector(tmp_path / f"v{suffix}", vec)
         (tmp_path / "v.pgm").write_bytes(b"P2 # 3 x 1\n3 1 65535\n0 -0\t65535\n")
-        (tmp_path / "z.csv").write_bytes(b"1.5\n-0\n")
+        # -0 is the int 0 to json as well; -0.5 and -0e0 are floats
+        ints = {"i.json": (b'{"nv": 6, "data": [0, 12, 200, -0, -7, 0.5]}\n',
+                           [0.0, 12.0, 200.0, 0.0, -7.0, 0.5]),
+                "i.csv": (b"0\n12\n200\n255\n0\n", [0.0, 12.0, 200.0, 255.0, 0.0]),
+                "m.csv": (b"0\n-0.5\n-0e0\n7\r\n", [0.0, -0.5, -0.0, 7.0])}
+        minus_zero = {"z.csv": (b"1.5\n-0\n", [1.5, -0.0]),
+                      "y.csv": (b"0\n-0\n7\n", [0.0, -0.0, 7.0])}
+        for name, (blob, _) in {**ints, **minus_zero}.items():
+            (tmp_path / name).write_bytes(blob)
         with monkeypatch.context() as patch:
             patch.setattr(fileio, "read_text", None)
             patch.setattr(fileio, "_PGM_TOKEN", FindallFree())
             for suffix in (".json", ".csv"):
                 got = fileio.read_vector(tmp_path / f"v{suffix}")
                 assert got.tobytes() == vec.tobytes()
+            for name, (_, want) in ints.items():
+                got = fileio.read_vector(tmp_path / name)
+                assert got.tobytes() == np.array(want).tobytes(), name
             assert fileio.read_vector(tmp_path / "v.pgm").tolist() == [
                 0.0, 0.0, 65535.0]
-            with pytest.raises(TypeError):
-                fileio.read_vector(tmp_path / "z.csv")
-        assert fileio.read_vector(tmp_path / "z.csv").tobytes() == np.array(
-            [1.5, -0.0]).tobytes()
+            for name in minus_zero:
+                with pytest.raises(TypeError):
+                    fileio.read_vector(tmp_path / name)
+        for name, (_, want) in minus_zero.items():
+            got = fileio.read_vector(tmp_path / name)
+            assert got.tobytes() == np.array(want).tobytes(), name
 
     @pytest.mark.parametrize("text, want", [
         ("", ": no values found"),
@@ -1293,6 +1307,15 @@ class TestFileio:
         assert keys == sorted(keys)
         assert "b.x,true" in lines
         assert '"hey, there"' in text
+
+    def test_kv_csv_cells_round_trip_through_csv_reader(self):
+        """A cell holding a comma, a quote or any line break, \\r alone
+        included, reads back whole through csv.reader."""
+        cells = {"a": "m\rx.tm", "b": "c\r\nd", "c": "e\nf", "d": 'q"q',
+                 "e": "g,h", "f": "plain"}
+        text = fileio.render_kv_csv(cells)
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert rows == [["key", "value"], *map(list, cells.items())]
 
     def test_render_json_is_stable(self):
         a = fileio.render_json({"z": 1, "a": [1.0, 2.0]})
