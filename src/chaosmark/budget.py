@@ -42,9 +42,10 @@ MAX_TAPE_CELLS = 10**6
 MAX_MESSAGE_BITS = 10**6
 # Most components (nc times nv) one carrier draw may hold: twice the
 # largest embed's 4096 x 1024.  On a shared 2-core x86 VM, a raw draw of
-# 2^23 took 0.2 s and peaked at 97 MiB RSS; the orthonormal family took
-# 0.06 s and 103 MiB at 4096 x 1024, 0.11-0.18 s and 171 MiB at
-# 2896 x 2896, and 1.8-2.0 s and 548 MiB at 2^23 x 1, where two
+# 2^23 took 0.2 s and peaked at 97 MiB RSS, and a whole decode command of
+# 8 x 10^6 bits from one component 0.48-0.68 s and 250 MiB; the orthonormal
+# family took 0.06 s and 103 MiB at 4096 x 1024, 0.11-0.18 s and 171 MiB
+# at 2896 x 2896, and 1.8-2.0 s and 548 MiB at 2^23 x 1, where two
 # permutations of nv and the 4 * nv cosines outweigh the one carrier.
 MAX_CARRIER_COMPONENTS = 2**23
 # Widest phase space (--nv) one analyze run may draw its start points in,

@@ -310,7 +310,8 @@ def parse_message_text(text: str, nc: int | None) -> np.ndarray:
 
 
 def bits_to_string(bits) -> str:
-    return "".join(str(int(b)) for b in bits)
+    """Bits, each 0 or 1, as a string of "0" and "1" characters."""
+    return (np.asarray(bits, dtype=np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
 # ---------- reports ----------

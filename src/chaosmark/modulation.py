@@ -122,16 +122,15 @@ class CarrierSet:
 
 def as_message(bits, nc: int | None = None) -> np.ndarray:
     """Validate bits, each 0 or 1 by value, as a read-only uint8 array."""
-    items = list(bits)
-    arr = np.array(items, dtype=np.int64)
-    if arr.ndim != 1 or arr.size == 0:
+    values = np.asarray(bits if isinstance(bits, np.ndarray) else list(bits),
+                        dtype=np.float64)
+    if values.ndim != 1 or values.size == 0:
         raise ValueError("message must be a non-empty bit sequence")
-    values = np.array(items, dtype=np.float64)
     if not np.all((values == 0) | (values == 1)):
         raise ValueError("message bits must be 0 or 1")
-    if nc is not None and arr.size != nc:
-        raise ValueError(f"message length {arr.size} does not match nc {nc}")
-    return _frozen(arr.astype(np.uint8))
+    if nc is not None and values.size != nc:
+        raise ValueError(f"message length {values.size} does not match nc {nc}")
+    return _frozen(values.astype(np.uint8))
 
 
 def generate_carriers(cfg: SchemeConfig) -> CarrierSet:

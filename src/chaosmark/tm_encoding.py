@@ -110,18 +110,16 @@ class TmConfiguration:
             BudgetExceeded: the window spans more than 2 * MAX_TAPE_CELLS
                 cells (checked before rendering any).
         """
-        cells = self.cells.copy()  # a dict, whose get outruns the proxy's
-        lo = min(min(cells, default=self.head), self.head)
-        hi = max(max(cells, default=self.head), self.head)
+        lo = min(min(self.cells, default=self.head), self.head)
+        hi = max(max(self.cells, default=self.head), self.head)
         limit = budget.MAX_TAPE_CELLS
         if hi - lo >= 2 * limit:
             raise BudgetExceeded(f"tape window spans {hi - lo + 1} cells, more "
                                  f"than 2*MAX_TAPE_CELLS={2 * limit}")
-        symbols = [cells.get(i, blank) for i in range(lo, hi + 1)]
-        shown = set(cells.values())
-        if len(cells) < len(symbols):  # some cell in the window is blank
-            shown.add(blank)
-        return lo, ("" if all(len(s) == 1 for s in shown) else " ").join(symbols)
+        symbols = [blank] * (hi - lo + 1)
+        for i, s in self.cells.items():
+            symbols[i - lo] = s
+        return lo, ("" if all(len(s) == 1 for s in set(symbols)) else " ").join(symbols)
 
 
 def initial_configuration(machine: TuringMachine, tape,
@@ -139,20 +137,19 @@ def initial_configuration(machine: TuringMachine, tape,
             MAX_TAPE_CELLS cells.
     """
     limit = budget.MAX_TAPE_CELLS
+    # one symbol past the budget is read, so a longer tape fails the span;
+    # the list refuses it before the dict, which costs ten times as much
     symbols = list(islice(tape, limit + 1))
     if not machine.alphabet.issuperset(symbols):
         i, bad = next((i, s) for i, s in enumerate(symbols)
                       if s not in machine.alphabet)
         if i < limit:
             raise ValueError(f"tape symbol {bad!r} not in the alphabet")
-    if len(symbols) > limit:
-        raise BudgetExceeded(
-            f"tape is longer than MAX_TAPE_CELLS={limit} cells")
-    cells = dict(enumerate(symbols))
-    if cells and max(len(cells) - 1, head) - min(0, head) >= limit:
+    if symbols and max(len(symbols) - 1, head) - min(0, head) >= limit:
         raise BudgetExceeded(f"tape and head span more than "
                              f"MAX_TAPE_CELLS={limit} cells")
-    return TmConfiguration(cells, head, machine.initial_state)
+    return TmConfiguration(dict(enumerate(symbols)), head,
+                           machine.initial_state)
 
 
 @dataclass(frozen=True)

@@ -1290,6 +1290,17 @@ class TestFileio:
 
     def test_bits_to_string(self):
         assert fileio.bits_to_string(np.array([1, 0, 1], dtype=np.uint8)) == "101"
+        assert fileio.bits_to_string(np.array([True, False])) == "10"
+        assert fileio.bits_to_string([0, 1, 1]) == "011"
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.integers(1, 10**4) | st.sampled_from([1, 7, 8, 9, 10**4]),
+           st.integers(0, 2**32 - 1), st.sampled_from([np.uint8, np.bool_]))
+    def test_bits_round_trip_through_their_text(self, size, seed, dtype):
+        bits = np.random.default_rng(seed).integers(0, 2, size).astype(dtype)
+        got = fileio.parse_message_text(fileio.bits_to_string(bits), size)
+        assert got.dtype == np.uint8
+        assert got.tobytes() == bits.astype(np.uint8).tobytes()
 
     def test_key_fingerprint(self):
         fp = fileio.key_fingerprint(9)

@@ -219,10 +219,18 @@ class TestMessages:
             as_message([])
         with pytest.raises(ValueError):
             as_message([0, 1], nc=3)
+        # the message's own error, not numpy's TypeError or OverflowError
+        for bits in ([None], [2**70], [0, 1, -2**70], ["0", "0.5"]):
+            with pytest.raises(ValueError, match="^message bits must be 0 or 1$"):
+                as_message(bits)
 
     @pytest.mark.parametrize("bits", [
         [0, 1, 1], [False, True, True], "011", ["0", "1", "1"],
-        np.array([0, 1, 1], np.uint8), [0.0, 1.0, 1.0]])
+        np.array([0, 1, 1], np.uint8), [0.0, 1.0, 1.0], iter([0, 1, 1]),
+        (b for b in (0, 1, 1)), np.array([False, True, True]),
+        np.array([0.0, 1.0, 1.0]),
+        # read by float value: "0.99999999999999999" rounds to 1.0
+        ["0.0", "1e0", "0.99999999999999999"]])
     def test_accepts_bits_of_every_kind(self, bits):
         assert as_message(bits).tolist() == [0, 1, 1]
 

@@ -1,9 +1,11 @@
 """Machine steps as map applications: runs, composition, and the text format."""
 
+import collections
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chaosmark import (
     BudgetExceeded,
@@ -15,6 +17,7 @@ from chaosmark import (
     tm_run,
 )
 from chaosmark import budget
+from window_oracle import window as window_oracle
 
 UNARY_INCREMENT = TuringMachine(
     states=frozenset({"scan", "accept"}),
@@ -419,7 +422,9 @@ class TestTapeBudget:
     def test_initial_tape_over_the_budget_is_rejected(self, monkeypatch):
         monkeypatch.setattr(budget, "MAX_TAPE_CELLS", 5)
         assert len(initial_configuration(UNARY_INCREMENT, "11111").cells) == 5
-        with pytest.raises(BudgetExceeded, match="MAX_TAPE_CELLS=5"):
+        # the sixth symbol read puts the tape past the span rule
+        with pytest.raises(BudgetExceeded, match="^tape and head span more "
+                                                 "than MAX_TAPE_CELLS=5 cells$"):
             initial_configuration(UNARY_INCREMENT, "111111")
         # a bad symbol inside the budget is reported first, one past it
         # is never read
@@ -502,6 +507,42 @@ class TestConfigurations:
             result = tm_run(UNARY_INCREMENT, config, 0)
             with pytest.raises(BudgetExceeded):
                 result.to_dict(UNARY_INCREMENT)
+
+    def test_window_matches_the_cell_by_cell_oracle(self):
+        """Sparse cells on both sides of 0, multi-character and empty
+        symbols, cells written with the blank, heads outside the cells
+        and empty tapes render as the oracle renders them; at a small
+        MAX_TAPE_CELLS the 2 * MAX_TAPE_CELLS refusal is the oracle's."""
+        kinds = collections.Counter()
+        far = st.sampled_from([None] * 4 + [-10**12, 10**12])
+        symbol = st.sampled_from(["1", "#", "10", "BL", ""])
+
+        def outcome(render):
+            try:
+                return "window", render()
+            except BudgetExceeded as exc:
+                return "refused", str(exc)
+
+        @settings(max_examples=500, derandomize=True, deadline=None)
+        @given(st.dictionaries(st.integers(-30, 30), symbol, max_size=12),
+               st.integers(-70, 70), far, far, st.sampled_from(["#", "BL", "1"]),
+               st.sampled_from([2, 30, budget.MAX_TAPE_CELLS]))
+        def check(cells, head, far_cell, far_head, blank, limit):
+            if far_cell is not None:
+                cells = {**cells, far_cell: "1"}
+            head = head if far_head is None else far_head
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(budget, "MAX_TAPE_CELLS", limit)
+                got = outcome(lambda: TmConfiguration(cells, head, "s")
+                              .window(blank))
+            assert got == outcome(lambda: window_oracle(cells, head, blank,
+                                                        limit))
+            kinds[got[0] if got[0] == "refused"
+                  else "spaced" if " " in got[1][1] else "joined"] += 1
+
+        check()
+        # windows joined with and without spaces, and refusals
+        assert min(kinds.values()) >= 50 and len(kinds) == 3, kinds
 
     def test_window_spans_written_cells_and_head(self):
         config = TmConfiguration({2: "1", 4: "1"}, -1, "s")
