@@ -84,7 +84,7 @@ def _seed_of(args) -> int:
 
 # nv and nc come from the input, every later field from its option's dest
 _SCHEME_FIELDS = tuple(f.name for f in dataclasses.fields(SchemeConfig))
-_REPORTED = {"lam": "lambda", "key": "key_fingerprint"}
+_REPORTED = {"lam": "lambda"}
 
 
 def _scheme_config(args, nv: int, nc: int) -> SchemeConfig:
@@ -94,7 +94,7 @@ def _scheme_config(args, nv: int, nc: int) -> SchemeConfig:
 
 def _scheme_config_dict(cfg: SchemeConfig, scheme: str) -> dict:
     config = {_REPORTED.get(name, name): getattr(cfg, name)
-              for name in _SCHEME_FIELDS}
+              for name in _SCHEME_FIELDS if name != "key"}
     config["key_fingerprint"] = fileio.key_fingerprint(cfg.key)
     return {"scheme": scheme, **config}
 

@@ -12,9 +12,10 @@ most MAX_TAPE_CELLS cells written.  A run takes at most MAX_TM_STEPS
 steps.  It steps a coded window of the tape (int codes, one rule row
 per state) and freezes it into a configuration only at return, so it
 is linear in its steps, and its memory follows the written cells, not
-the gaps between them; a one-step tm_run is one map step.  A step never touches any cell other than the
-one under the head, so run results compose: running a+b steps equals
-running a, then b from the intermediate configuration.
+the gaps between them; a one-step tm_run is one map step.  A step
+never touches any cell other than the one under the head, so run
+results compose: running a+b steps equals running a, then b from the
+intermediate configuration.
 """
 
 from __future__ import annotations
